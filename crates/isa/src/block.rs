@@ -118,16 +118,11 @@ pub(crate) struct Block {
     /// decides the target at run time (JALR), halts the core, or the end
     /// defers a fault.
     pub end_chainable: bool,
-    /// Macro-op fusion: a recognised loop idiom at the head of the trace
-    /// (SDOTP MAC reduction, memset, memcpy, strided copy, convolution
-    /// kernel-x nest) that the engine may execute as one bulk host loop
-    /// per entry. `None` when the trace matches no pattern.
+    /// Macro-op fusion: a recognised loop idiom inside the trace (SDOTP
+    /// MAC reduction, memset, memcpy, strided copy, convolution kernel-x
+    /// nest) that the engine may execute as one bulk host loop per entry.
+    /// `None` when the trace matches no pattern.
     pub fused: Option<crate::fusion::FusedOp>,
-    /// When [`Block::fused`] is a convolution nest, the nest's embedded
-    /// channel loop as a standalone plain MAC op; the engine substitutes
-    /// it under the Maupiti memory model, whose order-sensitive charges
-    /// the nest executor does not reproduce.
-    pub fused_inner: Option<crate::fusion::FusedOp>,
 }
 
 fn prefix_counts(instrs: &[Decoded]) -> Vec<(&'static str, u64)> {
@@ -230,7 +225,7 @@ pub(crate) fn build_block(mem: &Memory, entry_pc: u32) -> Block {
         BlockEnd::Terminator => matches!(instrs.last().map(|d| &d.op), Some(Op::Jal { .. })),
         BlockEnd::BadFetch { .. } | BlockEnd::Illegal { .. } => false,
     };
-    let (fused, fused_inner) = crate::fusion::recognize(&instrs);
+    let fused = crate::fusion::recognize(&instrs);
     Block {
         entry_pc,
         instrs,
@@ -242,7 +237,6 @@ pub(crate) fn build_block(mem: &Memory, entry_pc: u32) -> Block {
         redirects,
         end_chainable,
         fused,
-        fused_inner,
     }
 }
 

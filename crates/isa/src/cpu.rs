@@ -1,20 +1,18 @@
-//! The CPU model: architectural state, the reference interpreter and its
-//! flat IBEX-style cycle model.
+//! The CPU model: architectural state and the reference interpreter.
 //!
 //! The faster block-cached engine lives in [`crate::engine`]; its
 //! micro-op dispatch loop mirrors the semantics of [`Cpu::exec_instr`]
-//! exactly, and the differential tests in `crate::engine` plus the
-//! bit-exact deployment tests in `pcount-kernels` hold the two to the
-//! same architectural results.
+//! exactly, both engines time every instruction with the same IBEX rule
+//! ([`crate::pipeline`]), and the differential tests in `crate::engine`
+//! plus the bit-exact deployment tests in `pcount-kernels` hold the two
+//! to the same architectural results, cycles and stall counters.
 
 use crate::engine::{self, BlockCache, ExecMode};
 use crate::fusion::FusedKind;
-use crate::instr::{decode, BranchOp, Instr, LoadOp, StoreOp};
+use crate::instr::{decode, BranchOp, Decoded, Instr, LoadOp, StoreOp};
 use crate::mem_model::{MemModelState, MemStats, MemoryModel};
 use crate::memory::{Memory, IMEM_BASE};
-use crate::pipeline::{
-    Pipeline, PipelineStats, CYCLES_BRANCH_TAKEN, CYCLES_DIV, CYCLES_JUMP, CYCLES_MEM,
-};
+use crate::pipeline::{Pipeline, PipelineStats};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -124,9 +122,11 @@ pub struct RunSummary {
 ///
 /// The cycle model follows the public IBEX documentation: single-issue,
 /// in-order, most instructions retire in 1 cycle, loads/stores take 2,
-/// taken branches 3, jumps 2 and divisions 37. The SDOTP unit is
-/// single-cycle by construction (the paper replicates multipliers instead
-/// of sharing them).
+/// taken branches 3, jumps 2 and divisions 37, plus one load-use
+/// interlock cycle when an instruction reads the preceding load's
+/// destination (see [`PipelineStats`]). The SDOTP unit is single-cycle by
+/// construction (the paper replicates multipliers instead of sharing
+/// them).
 #[derive(Debug, Clone)]
 pub struct Cpu {
     pub(crate) regs: [u32; 32],
@@ -199,14 +199,8 @@ pub struct Cpu {
 pub(crate) struct FusedBulk {
     /// Taken back-edge iterations of a plain fused loop.
     pub plain: u64,
-    /// Nest iterations skipped through the left-padding guard.
-    pub nest_skip_lo: u64,
-    /// Nest iterations skipped through the right-padding guard.
-    pub nest_skip_hi: u64,
-    /// Full nest iterations.
-    pub nest_full: u64,
-    /// Extra channel-loop passes inside full nest iterations.
-    pub nest_extra: u64,
+    /// Runs of each convolution-nest path (`crate::fusion::NEST_PATHS`).
+    pub nest: [u64; 4],
 }
 
 /// One entry of the [`Cpu::hottest_blocks`] trace-cache profile.
@@ -271,11 +265,9 @@ pub fn hot_blocks_json(blocks: &[HotBlock]) -> String {
 pub(crate) struct ExecOutcome {
     /// Address of the next instruction.
     pub next_pc: u32,
-    /// Flat stage-occupancy cycles (IBEX reference numbers, shared per-op
-    /// cost table in [`crate::pipeline`]).
-    pub cycles: u64,
-    /// Whether the instruction redirected the PC (jump or taken branch) —
-    /// a prefetch-buffer miss in the memory-hierarchy model.
+    /// Whether the instruction redirected the PC (jump or taken branch):
+    /// a fetch flush in the pipeline model and a prefetch-buffer miss in
+    /// the memory-hierarchy model.
     pub redirect: bool,
 }
 
@@ -341,14 +333,11 @@ impl Cpu {
 
     /// Selects the execution engine used by [`Cpu::run`].
     ///
-    /// Architectural results are identical in both modes; the block-cached
-    /// engine's pipelined timing model additionally charges load-use
-    /// interlock stalls, so its cycle counts can be slightly higher.
+    /// The engines differ only in speed: architectural results, cycles,
+    /// [`Cpu::pipeline_stats`] and [`Cpu::mem_stats`] are identical in
+    /// both modes, so switching mid-program keeps every counter running.
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        if self.mode != mode {
-            self.mode = mode;
-            self.pipeline.reset();
-        }
+        self.mode = mode;
     }
 
     /// Builder-style variant of [`Cpu::set_exec_mode`].
@@ -357,10 +346,10 @@ impl Cpu {
         self
     }
 
-    /// Stall/flush counters of the pipelined timing model (all zero while
-    /// running in [`ExecMode::Simple`]).
+    /// Stall/flush counters of the pipelined IBEX timing model, identical
+    /// for both execution engines.
     pub fn pipeline_stats(&self) -> PipelineStats {
-        self.pipeline.stats()
+        self.pipeline.stats
     }
 
     /// The memory-hierarchy model fetches and data accesses are charged
@@ -533,7 +522,7 @@ impl Cpu {
         self.block_fused_cycles = Vec::new();
         self.block_fused_kind = Vec::new();
         self.block_fused_bulk = Vec::new();
-        self.pipeline.reset();
+        self.pipeline = Pipeline::default();
         self.mem_state.reset();
         self.mem_stats = MemStats::default();
         Ok(())
@@ -573,13 +562,14 @@ impl Cpu {
         self.mem_model = base.mem_model;
         self.mem_state = base.mem_state;
         self.mem_stats = base.mem_stats;
-        self.pipeline = base.pipeline.clone();
+        self.pipeline = base.pipeline;
         self.mem.copy_state_from(&base.mem);
         self.cache = base.cache.clone();
     }
 
     /// Executes a single instruction with the reference interpreter
-    /// (fetch + decode + execute, flat cycle costs).
+    /// (fetch + decode + execute), timed by the same [`Decoded`] lowering
+    /// and pipeline rule the block-cached engine uses.
     ///
     /// # Errors
     ///
@@ -591,28 +581,31 @@ impl Cpu {
         let pc = self.pc;
         let word = self.mem.fetch(pc).ok_or(SimError::BadFetch { pc })?;
         let instr = decode(word).map_err(|word| SimError::IllegalInstruction { pc, word })?;
+        let d = Decoded::new(instr, pc);
         self.trace.record(instr.mnemonic());
         self.instret += 1;
+        self.pipeline.stats.instructions += 1;
         let out = self.exec_instr(instr, pc)?;
         self.pc = out.next_pc;
-        self.cycles += out.cycles;
+        self.cycles += self.pipeline.retire(&d, out.redirect);
         if let MemoryModel::Maupiti(cfg) = self.mem_model {
-            let is_mem = matches!(instr, Instr::Load { .. } | Instr::Store { .. });
-            self.cycles += self
-                .mem_state
-                .step(&cfg, is_mem, out.redirect, &mut self.mem_stats);
+            self.cycles += self.mem_state.step(
+                &cfg,
+                d.is_load || d.is_store,
+                out.redirect,
+                &mut self.mem_stats,
+            );
         }
         Ok(())
     }
 
     /// Executes the semantics of one instruction located at `pc`, without
     /// touching the PC, the retired-instruction counter, the trace or the
-    /// cycle counter — bookkeeping differs between the two engines and is
-    /// done by the caller from the returned [`ExecOutcome`].
+    /// timing model — the caller does that bookkeeping from the returned
+    /// [`ExecOutcome`].
     #[inline]
     pub(crate) fn exec_instr(&mut self, instr: Instr, pc: u32) -> Result<ExecOutcome, SimError> {
         let mut next_pc = pc.wrapping_add(4);
-        let mut cost = 1u64;
         let mut redirect = false;
         match instr {
             Instr::Lui { rd, imm } => self.set_reg(rd, (imm as u32) << 12),
@@ -620,14 +613,12 @@ impl Cpu {
             Instr::Jal { rd, offset } => {
                 self.set_reg(rd, next_pc);
                 next_pc = pc.wrapping_add(offset as u32);
-                cost = CYCLES_JUMP;
                 redirect = true;
             }
             Instr::Jalr { rd, rs1, offset } => {
                 let target = self.reg(rs1).wrapping_add(offset as u32) & !1;
                 self.set_reg(rd, next_pc);
                 next_pc = target;
-                cost = CYCLES_JUMP;
                 redirect = true;
             }
             Instr::Branch {
@@ -648,7 +639,6 @@ impl Cpu {
                 };
                 if branch_taken {
                     next_pc = pc.wrapping_add(offset as u32);
-                    cost = CYCLES_BRANCH_TAKEN;
                     redirect = true;
                 }
             }
@@ -677,7 +667,6 @@ impl Cpu {
                     raw
                 };
                 self.set_reg(rd, value);
-                cost = CYCLES_MEM;
             }
             Instr::Store {
                 op,
@@ -694,7 +683,6 @@ impl Cpu {
                 self.mem
                     .store(addr, self.reg(rs2), len)
                     .ok_or(SimError::BadMemoryAccess { pc, addr })?;
-                cost = CYCLES_MEM;
             }
             Instr::Addi { rd, rs1, imm } => {
                 self.set_reg(rd, self.reg(rs1).wrapping_add(imm as u32));
@@ -763,12 +751,10 @@ impl Cpu {
                     a / b
                 };
                 self.set_reg(rd, q as u32);
-                cost = CYCLES_DIV;
             }
             Instr::Divu { rd, rs1, rs2 } => {
                 let q = self.reg(rs1).checked_div(self.reg(rs2)).unwrap_or(u32::MAX);
                 self.set_reg(rd, q);
-                cost = CYCLES_DIV;
             }
             Instr::Rem { rd, rs1, rs2 } => {
                 let a = self.reg(rs1) as i32;
@@ -781,7 +767,6 @@ impl Cpu {
                     a % b
                 };
                 self.set_reg(rd, r as u32);
-                cost = CYCLES_DIV;
             }
             Instr::Remu { rd, rs1, rs2 } => {
                 let b = self.reg(rs2);
@@ -791,7 +776,6 @@ impl Cpu {
                     self.reg(rs1) % b
                 };
                 self.set_reg(rd, r);
-                cost = CYCLES_DIV;
             }
             Instr::Sdotp8 { rd, rs1, rs2 } => {
                 let acc = self.reg(rd) as i32;
@@ -805,11 +789,7 @@ impl Cpu {
                 self.halted = true;
             }
         }
-        Ok(ExecOutcome {
-            next_pc,
-            cycles: cost,
-            redirect,
-        })
+        Ok(ExecOutcome { next_pc, redirect })
     }
 
     /// Runs until the program halts (via `ecall`/`ebreak`) or the budget of

@@ -6,8 +6,8 @@
 //! immediate, width and control-flow target pre-resolved), caches it keyed
 //! by entry PC, and dispatches cached traces in a tight threaded loop that
 //! never touches `Memory::fetch`, re-decodes a word, or updates the trace
-//! map per instruction. Cycle accounting follows the pipelined IBEX timing
-//! model ([`crate::pipeline`]), inlined in the dispatch loop.
+//! map per instruction. Every retired instruction is timed by the same
+//! IBEX rule the reference interpreter steps ([`crate::pipeline`]).
 //!
 //! Three levels keep the dispatch overhead off the hot path:
 //!
@@ -41,29 +41,30 @@
 //! cache table. [`Cpu::set_superblock_chaining`] disables this (used by
 //! the throughput bench to measure the chaining delta).
 //!
-//! Architectural results (registers, memory, instruction counts, trace,
-//! faults) are identical to [`ExecMode::Simple`] — the differential tests
-//! below and the deployment tests in `pcount-kernels` hold both engines to
-//! bit-exactness; only the cycle model is finer-grained (it adds load-use
-//! interlock stalls the flat model cannot see). When touching instruction
-//! semantics, change BOTH [`Cpu::exec_instr`] and [`run_inner`] here.
+//! The engines differ only in speed: architectural results (registers,
+//! memory, instruction counts, trace, faults), cycles and stall counters
+//! are identical to [`ExecMode::Simple`] — the differential tests below
+//! and the deployment tests in `pcount-kernels` hold both engines to
+//! bit-exactness. When touching instruction semantics, change BOTH
+//! [`Cpu::exec_instr`] and [`run_inner`] here.
 
 use crate::block::{build_block, Block, BlockEnd};
 use crate::cpu::{sdotp4, sdotp8, Cpu, RunSummary, SimError};
+use crate::fusion::{FusedDetail, NEST_LEN, NEST_PATHS};
 use crate::instr::Op;
 use crate::mem_model::{MemStats, MemoryModel};
 use crate::memory::{Memory, IMEM_BASE};
-use crate::pipeline::LOAD_USE_STALL;
+use crate::pipeline::Pipeline;
 use std::sync::{Arc, Mutex, Weak};
 
 /// Which execution engine a [`Cpu`] uses in [`Cpu::run`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ExecMode {
-    /// Reference interpreter: fetch + decode every instruction, flat
-    /// per-instruction cycle costs.
+    /// Reference interpreter: fetch + decode + execute every instruction.
     #[default]
     Simple,
-    /// Pre-decoded basic-block cache with the pipelined IBEX timing model.
+    /// Pre-decoded superblock cache with chaining and macro-op fusion:
+    /// the same results and timing as `Simple`, several times faster.
     BlockCached,
 }
 
@@ -209,9 +210,7 @@ fn run_inner(cpu: &mut Cpu, _start_instret: u64, max_instructions: u64) -> Resul
     // so the dispatch loop does no redundant memory traffic.
     let mut executed = 0u64;
     let mut cycles = 0u64;
-    let mut load_dest = cpu.pipeline.load_dest;
-    let mut stalls = 0u64;
-    let mut flushes = 0u64;
+    let mut pipe = cpu.pipeline;
     // One-entry dispatch memo: loop back-edges re-enter the same trace and
     // chained side exits pre-fill it, so the common case is a single PC
     // compare instead of a cache probe.
@@ -257,9 +256,9 @@ fn run_inner(cpu: &mut Cpu, _start_instret: u64, max_instructions: u64) -> Resul
     // Charges the memory model for the retired segment [mem_base, $n) of
     // the current trace execution and attributes the stall cycles to the
     // trace's profile slot. `mem_base` is 0 except after a mid-trace
-    // fused loop ran, which charges everything before its final
-    // iteration in bulk. `$exit_redirect` marks a taken side exit ending
-    // the segment. A no-op under the flat model.
+    // fused loop ran, which charges the trace up to its loop head and
+    // its bulk iterations itself. `$exit_redirect` marks a taken side
+    // exit ending the segment. A no-op under the flat model.
     macro_rules! charge_mem {
         ($block:expr, $slot:expr, $n:expr, $exit_redirect:expr) => {
             if let Some(cfg) = &maupiti {
@@ -352,22 +351,7 @@ fn run_inner(cpu: &mut Cpu, _start_instret: u64, max_instructions: u64) -> Resul
         // (or, on a declined/partial run, from) the loop head.
         let mut start = 0usize;
         mem_base = 0;
-        // The fused op this trace execution may run: the recognised op,
-        // except that a convolution nest is swapped for its embedded
-        // channel loop under the Maupiti model — the nest's bulk
-        // accounting cannot reproduce the model's order-sensitive
-        // per-iteration charges, while the plain loop's `charge_loop`
-        // path can.
-        let active_fused: Option<&crate::fusion::FusedOp> = match &block.fused {
-            Some(f) if fusion => {
-                if f.kind == crate::fusion::FusedKind::ConvNest && maupiti.is_some() {
-                    block.fused_inner.as_ref()
-                } else {
-                    Some(f)
-                }
-            }
-            _ => None,
-        };
+        let active_fused = block.fused.as_ref().filter(|_| fusion);
         // Macro-op fusion gets one shot per trace execution: the pass
         // pauses when it reaches the recognised loop head, the fused
         // executor runs the whole loop, and the pass resumes past it.
@@ -393,22 +377,13 @@ fn run_inner(cpu: &mut Cpu, _start_instret: u64, max_instructions: u64) -> Resul
             let mut side_exit: Option<(usize, u16)> = None;
             for (i, d) in block.instrs[start..stop].iter().enumerate() {
                 let i = i + start;
-                let mut cost = d.base_cycles as u64;
-                let prev_load_dest = load_dest;
-                let mut stall = 0u64;
-                if load_dest != 0 && (d.reads_mask >> load_dest) & 1 != 0 {
-                    cost += LOAD_USE_STALL;
-                    stall = LOAD_USE_STALL;
-                }
-                load_dest = if d.is_load { d.rd } else { 0 };
                 let rs1v = cpu.regs[d.rs1 as usize & 31];
                 let rs2v = cpu.regs[d.rs2 as usize & 31];
-                // A faulting instruction does not retire: it consumes no
-                // cycles and leaves the pipeline hazard state untouched,
-                // exactly like the reference interpreter.
+                // A faulting instruction does not retire: it leaves the
+                // timing model untouched, exactly like the reference
+                // interpreter.
                 macro_rules! bad_addr {
                     ($addr:expr) => {{
-                        load_dest = prev_load_dest;
                         mem_fault = Some((i, $addr));
                         break;
                     }};
@@ -418,10 +393,7 @@ fn run_inner(cpu: &mut Cpu, _start_instret: u64, max_instructions: u64) -> Resul
                 macro_rules! take_exit {
                     ($target:expr) => {{
                         ctrl_next = $target;
-                        cost += d.flush_on_take as u64;
-                        flushes += d.flush_on_take as u64;
-                        cycles += cost;
-                        stalls += stall;
+                        cycles += pipe.retire(d, true);
                         side_exit = Some((i, d.exit_ordinal));
                         break;
                     }};
@@ -579,30 +551,33 @@ fn run_inner(cpu: &mut Cpu, _start_instret: u64, max_instructions: u64) -> Resul
                             take_exit!(target);
                         }
                     }
+                    // Jumps always redirect the PC.
                     Op::Jal { link, target } => {
                         // Unfollowed jump: always the last trace element.
                         wr!(d, link);
                         ctrl_next = target;
-                        flushes += d.flush_on_take as u64;
+                        cycles += pipe.retire(d, true);
+                        continue;
                     }
                     Op::JalFollowed { link } => {
                         // Followed jump: the next trace element is the
                         // target instruction; only link and pay the flush.
                         wr!(d, link);
-                        flushes += d.flush_on_take as u64;
+                        cycles += pipe.retire(d, true);
+                        continue;
                     }
                     Op::Jalr { link, offset } => {
                         let target = rs1v.wrapping_add(offset) & !1;
                         wr!(d, link);
                         ctrl_next = target;
-                        flushes += d.flush_on_take as u64;
+                        cycles += pipe.retire(d, true);
+                        continue;
                     }
                     Op::Halt => {
                         cpu.halted = true;
                     }
                 }
-                cycles += cost;
-                stalls += stall;
+                cycles += pipe.retire(d, false);
             }
             // Resume offsets apply to exactly one pass; the handlers below
             // account whole prefixes from 0 by convention.
@@ -670,46 +645,45 @@ fn run_inner(cpu: &mut Cpu, _start_instret: u64, max_instructions: u64) -> Resul
                 // budget share (`f.start` instructions) reserved, so the
                 // per-instruction pass resumed at the head reproduces the
                 // final guard exit, a mid-iteration timeout or a faulting
-                // access exactly. Never reached under Maupiti (the nest
-                // is swapped for its inner loop there).
-                if f.kind == crate::fusion::FusedKind::ConvNest {
+                // access exactly.
+                if let FusedDetail::ConvNest(nd) = &f.detail {
                     let budget = (max_instructions - executed).saturating_sub(f.start as u64);
                     let out = f.execute_nest(&mut cpu.regs, &mut cpu.mem, budget);
                     let iters = out.iters();
                     if iters > 0 {
-                        let crate::fusion::FusedDetail::ConvNest(nd) = &f.detail else {
-                            unreachable!("nest kind implies nest detail");
-                        };
-                        let instret = nd.skip_lo.instret * out.skip_lo
-                            + nd.skip_hi.instret * out.skip_hi
-                            + nd.full1.instret * out.full
-                            + nd.extra.instret * out.inner_extra;
-                        let arch_cycles = nd.skip_lo.cycles * out.skip_lo
-                            + nd.skip_hi.cycles * out.skip_hi
-                            + nd.full1.cycles * out.full
-                            + nd.extra.cycles * out.inner_extra;
-                        let stall = nd.skip_lo.stalls * out.skip_lo
-                            + nd.skip_hi.stalls * out.skip_hi
-                            + nd.full1.stalls * out.full
-                            + nd.extra.stalls * out.inner_extra;
-                        let flush = nd.skip_lo.flushes * out.skip_lo
-                            + nd.skip_hi.flushes * out.skip_hi
-                            + nd.full1.flushes * out.full
-                            + nd.extra.flushes * out.inner_extra;
+                        let mut instret = 0;
+                        let mut arch_cycles = 0;
+                        // Every path starts at the `li`, which reads no
+                        // pending load, and ends in a control transfer.
+                        for (cost, &times) in nd.paths.iter().zip(&out.counts) {
+                            instret += cost.instret * times;
+                            arch_cycles += pipe.repeat(cost, times);
+                        }
                         cycles += arch_cycles;
-                        stalls += stall;
-                        flushes += flush;
                         executed += instret;
-                        // Every iteration ends in the closing jump, which
-                        // clears the pending-load hazard state.
-                        load_dest = 0;
+                        if let Some(cfg) = &maupiti {
+                            // Arch order: the setup segment before the
+                            // nest head, then the iterations. The exit
+                            // of the pass resumed at the head charges
+                            // over [mem_base, ·).
+                            charge_mem!(block, slot, f.start, false);
+                            let mstall = out.charge_mem(
+                                nd,
+                                &block.instrs[f.start..],
+                                cfg,
+                                &mut mem_state,
+                                &mut mem_stats,
+                            );
+                            cycles += mstall;
+                            cpu.block_mem_stall_counts[slot] += mstall;
+                            mem_base = f.start;
+                        }
                         cpu.block_instr_counts[slot] += instret;
                         cpu.block_exec_counts[slot] += iters;
-                        let bulk = &mut cpu.block_fused_bulk[slot];
-                        bulk.nest_skip_lo += out.skip_lo;
-                        bulk.nest_skip_hi += out.skip_hi;
-                        bulk.nest_full += out.full;
-                        bulk.nest_extra += out.inner_extra;
+                        for (bulk, n) in cpu.block_fused_bulk[slot].nest.iter_mut().zip(out.counts)
+                        {
+                            *bulk += n;
+                        }
                         cpu.block_fused_entries[slot] += 1;
                         cpu.block_fused_iters[slot] += iters;
                         cpu.block_fused_cycles[slot] += arch_cycles;
@@ -728,18 +702,25 @@ fn run_inner(cpu: &mut Cpu, _start_instret: u64, max_instructions: u64) -> Resul
                         } else {
                             out.iters
                         };
-                        let mut stall = f.steady_stalls * out.iters;
-                        if load_dest != 0 && (f.entry_reads_mask >> load_dest) & 1 != 0 {
-                            stall += LOAD_USE_STALL;
+                        // The first iteration meets the live hazard state
+                        // and the last one may fall through, so both go
+                        // through the timing rule instruction by
+                        // instruction. Every iteration in between follows
+                        // a taken back edge, which leaves no load pending:
+                        // exactly what the precomputed `f.iter` assumes.
+                        let body = &block.instrs[f.start..f.start + f.body_len];
+                        let time_iteration = |pipe: &mut Pipeline, back_edge| {
+                            body.iter()
+                                .enumerate()
+                                .map(|(j, d)| pipe.retire(d, back_edge && j + 1 == body.len()))
+                                .sum::<u64>()
+                        };
+                        let mut arch_cycles = time_iteration(&mut pipe, taken > 0);
+                        if out.iters > 1 {
+                            arch_cycles += pipe.repeat(&f.iter, out.iters - 2)
+                                + time_iteration(&mut pipe, !out.fell_through);
                         }
-                        let arch_cycles =
-                            f.base_cycles * out.iters + f.flush_on_take * taken + stall;
                         cycles += arch_cycles;
-                        stalls += stall;
-                        flushes += f.flush_on_take * taken;
-                        // The body ends in a branch, which clears the
-                        // pending-load hazard state.
-                        load_dest = 0;
                         if taken > 0 {
                             executed += taken * f.body_len as u64;
                             cpu.block_instr_counts[slot] += taken * f.body_len as u64;
@@ -843,11 +824,9 @@ fn run_inner(cpu: &mut Cpu, _start_instret: u64, max_instructions: u64) -> Resul
     }
 
     cpu.instret += executed;
-    cpu.pipeline.stats.instructions += executed;
     cpu.cycles += cycles;
-    cpu.pipeline.load_dest = load_dest;
-    cpu.pipeline.stats.load_use_stalls += stalls;
-    cpu.pipeline.stats.flush_cycles += flushes;
+    pipe.stats.instructions += executed;
+    cpu.pipeline = pipe;
     cpu.mem_state = mem_state;
     cpu.mem_stats.accumulate(&mem_stats);
     match fault {
@@ -882,39 +861,25 @@ fn fold_exec_counts(cpu: &mut Cpu) {
             cpu.block_instr_counts[slot] += instrs;
             let bulk = std::mem::take(&mut cpu.block_fused_bulk[slot]);
             if bulk.plain > 0 {
-                // The plain op is either the recognised op itself or, on
-                // a nest block that ran under Maupiti, the nest's
-                // embedded channel loop.
                 let f = block
                     .fused
                     .as_ref()
-                    .filter(|f| f.kind != crate::fusion::FusedKind::ConvNest)
-                    .or(block.fused_inner.as_ref())
                     .expect("bulk iterations imply a fused loop");
                 for d in &block.instrs[f.start..f.start + f.body_len] {
                     cpu.trace.record_many(d.mnemonic(), bulk.plain);
                 }
             }
-            let iters = bulk.nest_skip_lo + bulk.nest_skip_hi + bulk.nest_full;
-            if iters > 0 {
+            if bulk.nest.iter().any(|&n| n > 0) {
                 let f = block.fused.as_ref().expect("nest counts imply a nest");
                 let s = f.start;
-                for (j, d) in block.instrs[s..s + crate::fusion::NEST_LEN]
-                    .iter()
-                    .enumerate()
-                {
-                    // Per-position multiset of the executed paths: guards
-                    // and tail run every iteration, the right guard also
-                    // on full and right-skip paths, pointer setup only on
-                    // full iterations, the channel loop once per full
-                    // iteration plus the extra passes.
-                    let count = match j {
-                        0..=4 => iters,
-                        5 => bulk.nest_skip_hi + bulk.nest_full,
-                        6..=15 => bulk.nest_full,
-                        16..=22 => bulk.nest_full + bulk.nest_extra,
-                        _ => iters,
-                    };
+                for (j, d) in block.instrs[s..s + NEST_LEN].iter().enumerate() {
+                    // Per-position multiset of the executed paths.
+                    let count: u64 = NEST_PATHS
+                        .iter()
+                        .zip(bulk.nest)
+                        .filter(|(path, _)| path.retires(j))
+                        .map(|(_, n)| n)
+                        .sum();
                     if count > 0 {
                         cpu.trace.record_many(d.mnemonic(), count);
                     }
@@ -945,6 +910,8 @@ mod tests {
         (simple, cached)
     }
 
+    /// Architectural state plus every timing counter: the engines differ
+    /// only in speed.
     fn assert_same_architectural_state(simple: &Cpu, cached: &Cpu) {
         for r in 0..32 {
             assert_eq!(simple.reg(r), cached.reg(r), "register x{r} diverged");
@@ -953,6 +920,13 @@ mod tests {
         assert_eq!(simple.instret, cached.instret, "instret diverged");
         assert_eq!(simple.trace, cached.trace, "trace diverged");
         assert_eq!(simple.halted(), cached.halted(), "halt state diverged");
+        assert_eq!(simple.cycles, cached.cycles, "cycles diverged");
+        assert_eq!(
+            simple.pipeline_stats(),
+            cached.pipeline_stats(),
+            "pipeline stats diverged"
+        );
+        assert_eq!(simple.mem_stats(), cached.mem_stats(), "mem stats diverged");
     }
 
     #[test]
@@ -1395,7 +1369,7 @@ mod tests {
     }
 
     #[test]
-    fn load_use_hazards_add_stall_cycles_over_the_flat_model() {
+    fn load_use_hazards_stall_both_engines_alike() {
         let program = [
             Instr::Lui {
                 rd: reg::A0,
@@ -1424,8 +1398,9 @@ mod tests {
         let (mut simple, mut cached) = cpu_pair(&program);
         let rs = simple.run(10).unwrap();
         let rc = cached.run(10).unwrap();
-        assert_eq!(rs.instructions, rc.instructions);
-        assert_eq!(rc.cycles, rs.cycles + 1, "exactly the load-use stall");
+        assert_eq!(rs, rc);
+        // lui(1) + sw(2) + lw(2) + add(1) + the load-use stall + ebreak(1)
+        assert_eq!(rc.cycles, 8);
         assert_eq!(cached.pipeline_stats().load_use_stalls, 1);
         assert_same_architectural_state(&simple, &cached);
     }
@@ -1466,10 +1441,8 @@ mod tests {
         let ec = cached.run(10).unwrap_err();
         assert_eq!(es, ec);
         assert_same_architectural_state(&simple, &cached);
-        assert_eq!(
-            simple.cycles, cached.cycles,
-            "faulting stall must not be charged"
-        );
+        // lui(1) + sw(2) + lw(2): the faulting load charges nothing.
+        assert_eq!(cached.cycles, 5, "faulting stall must not be charged");
         let stats = cached.pipeline_stats();
         assert_eq!(
             stats.load_use_stalls, 0,
@@ -2196,6 +2169,32 @@ mod tests {
             MemoryModel::Flat,
             &fill_dmem,
         );
+        // The loop head reads the source pointer reloaded right before
+        // it: only the first fused iteration pays that load-use stall.
+        let mut p = copy_program(LoadOp::Lw, StoreOp::Sw, 4, 4, 8);
+        p.splice(
+            5..5,
+            [
+                Instr::Store {
+                    op: StoreOp::Sw,
+                    rs1: reg::T2,
+                    rs2: reg::T1,
+                    offset: 700,
+                },
+                Instr::Load {
+                    op: LoadOp::Lw,
+                    rd: reg::T1,
+                    rs1: reg::T2,
+                    offset: 700,
+                },
+            ],
+        );
+        for model in [MemoryModel::Flat, MemoryModel::maupiti()] {
+            let (_, fused) = assert_fusion_parity(&p, 100_000, model, &fill_dmem);
+            assert_eq!(fused.fusion_profile()[0].0, "memcpy");
+            // The entry stall plus one lw->sw stall per iteration.
+            assert_eq!(fused.pipeline_stats().load_use_stalls, 1 + 8);
+        }
     }
 
     #[test]
@@ -2572,17 +2571,48 @@ mod tests {
             assert_fusion_parity(&p1, budget, MemoryModel::Flat, &fill_dmem);
         }
 
-        // Maupiti declines the nest and substitutes the embedded channel
-        // loop; spot-check budgets including expiry inside that loop.
-        for budget in [50, 137, 290, 421, 579, 100_000] {
-            let (_, fused) = assert_fusion_parity(&p, budget, MemoryModel::maupiti(), &fill_dmem);
+        // Under Maupiti the nest charges the memory model per path. A
+        // prefetch buffer deeper than the nest setup keeps the refill
+        // window live into the channel loop's loads: with 18 entries the
+        // first full iteration (entered two instructions after the ox
+        // loop's branch) misses the contention every later iteration
+        // pays, and 32 entries outlast every nest path.
+        let deep = |prefetch_entries| {
+            MemoryModel::Maupiti(crate::MaupitiMemConfig {
+                prefetch_entries,
+                refill_cycles: 5,
+                contention_cycles: 3,
+            })
+        };
+        for model in [MemoryModel::maupiti(), deep(18), deep(32)] {
+            for budget in (1..=600u64).step_by(7).chain([100_000]) {
+                assert_fusion_parity(&p, budget, model, &fill_dmem);
+            }
+            let (_, fused) = assert_fusion_parity(&p, 100_000, model, &fill_dmem);
             assert!(
                 fused
                     .fusion_profile()
                     .iter()
-                    .all(|(name, ..)| *name != "conv3x3_nest"),
-                "the nest must not run under Maupiti"
+                    .any(|(name, ..)| *name == "conv3x3_nest"),
+                "the nest must fuse under {model:?}"
             );
+            assert!(fused.mem_stats().fetch_misses > 0);
+        }
+        // Clones share decoded blocks, so a clone under another
+        // configuration must not reuse the nest's cached charges.
+        let mut pristine = Cpu::new_default().with_exec_mode(ExecMode::BlockCached);
+        pristine.load_program(&p).unwrap();
+        fill_dmem(&mut pristine);
+        let models = [deep(18), MemoryModel::maupiti()];
+        let runs = models.map(|model| {
+            let mut cpu = pristine.clone().with_memory_model(model);
+            cpu.run(100_000).unwrap();
+            cpu
+        });
+        for (cpu, model) in runs.iter().zip(models) {
+            let (_, fresh) = assert_fusion_parity(&p, 100_000, model, &fill_dmem);
+            assert_eq!(cpu.cycles, fresh.cycles, "{model:?}");
+            assert_eq!(cpu.mem_stats(), fresh.mem_stats(), "{model:?}");
         }
     }
 

@@ -8,8 +8,10 @@
 //! whole loop as **one host-level loop per trace entry**: the trip count
 //! comes from the live loop-carried registers, the body runs with direct
 //! slice access on [`Memory`], and cycles / instret / pipeline stalls /
-//! memory-model costs are bulk-charged from the per-iteration summaries
-//! precomputed here — bit-identical to per-instruction dispatch.
+//! memory-model costs are bulk-charged from per-path summaries of the
+//! same timing and memory rules the interpreter steps
+//! ([`crate::pipeline`], [`MemModelState::step`]) — bit-identical to
+//! per-instruction dispatch.
 //!
 //! All patterns are do-while counted loops ending in
 //! `addi cnt, cnt, -1; bne cnt, x0, entry`, exactly what the kernel code
@@ -23,8 +25,10 @@
 
 use crate::cpu::{sdotp4, sdotp8};
 use crate::instr::{Decoded, Op};
+use crate::mem_model::{MaupitiMemConfig, MemModelState, MemStats};
 use crate::memory::{Memory, DMEM_BASE};
-use crate::pipeline::LOAD_USE_STALL;
+use crate::pipeline::PathCost;
+use std::sync::OnceLock;
 
 /// The loop idiom a [`FusedOp`] lowers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,21 +113,92 @@ pub(crate) enum FusedDetail {
     ConvNest(Box<NestDetail>),
 }
 
-/// Pipeline summary of one architectural path through the nest: what the
-/// per-instruction engine would have charged for exactly that
-/// instruction sequence.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct PathCost {
-    /// Instructions retired on the path.
-    pub instret: u64,
-    /// Cycles charged, load-use stalls and taken-branch flushes
-    /// included (unconditional-jump flushes are tracked in `flushes`
-    /// only, exactly like the engine's per-instruction accounting).
-    pub cycles: u64,
-    /// Load-use stall cycles within `cycles`.
-    pub stalls: u64,
-    /// Flush cycles (taken branches and unconditional jumps).
-    pub flushes: u64,
+/// One architectural path through the nest window: bit `i` of `visits`
+/// marks window position `i` as retired (in ascending order), bit `i` of
+/// `takes` marks it as a taken control transfer.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct NestPath {
+    visits: u32,
+    takes: u32,
+}
+
+/// Indices into [`NEST_PATHS`], [`NestDetail::paths`] and
+/// [`NestOutcome::counts`]: a left-padding skip (the guards up to the
+/// taken `blt`, then the tail), a right-padding skip (both guards, the
+/// `bge` taken), a full iteration with a single channel-loop pass, and
+/// one extra channel-loop pass with its back edge taken.
+pub(crate) const SKIP_LO: usize = 0;
+pub(crate) const SKIP_HI: usize = 1;
+pub(crate) const FULL: usize = 2;
+pub(crate) const EXTRA: usize = 3;
+
+/// Every architectural path through the nest window.
+pub(crate) const NEST_PATHS: [NestPath; 4] = [
+    NestPath {
+        visits: 0x1f | 3 << NEST_SKIP_OFF,
+        takes: 1 << 4 | 1 << NEST_JAL_OFF,
+    },
+    NestPath {
+        visits: 0x3f | 3 << NEST_SKIP_OFF,
+        takes: 1 << 5 | 1 << NEST_JAL_OFF,
+    },
+    NestPath {
+        visits: (1 << NEST_LEN) - 1,
+        takes: 1 << NEST_JAL_OFF,
+    },
+    NestPath {
+        visits: 0x7f << NEST_INNER_OFF,
+        takes: 1 << (NEST_SKIP_OFF - 1),
+    },
+];
+
+impl NestPath {
+    /// Whether the path retires window position `i`.
+    pub(crate) fn retires(self, i: usize) -> bool {
+        self.visits >> i & 1 != 0
+    }
+
+    /// The path's (instruction, taken) steps through the nest window `w`.
+    fn steps(self, w: &[Decoded]) -> impl Iterator<Item = (&Decoded, bool)> {
+        (0..NEST_LEN)
+            .filter(move |&i| self.retires(i))
+            .map(move |i| (&w[i], self.takes >> i & 1 != 0))
+    }
+
+    /// The memory-model charges of the path entered with refill window
+    /// `window`, stepped exactly as the reference interpreter steps them.
+    fn mem_charges(self, w: &[Decoded], cfg: &MaupitiMemConfig, window: u32) -> MemStats {
+        let mut state = MemModelState {
+            window_left: window,
+        };
+        let mut stats = MemStats::default();
+        for (d, taken) in self.steps(w) {
+            state.step(cfg, d.is_load || d.is_store, taken, &mut stats);
+        }
+        stats
+    }
+}
+
+/// The nest's memory-model charges under one [`MaupitiMemConfig`]:
+/// `from[w][p]` is path `p` entered with refill window `w`, clamped to
+/// [`NEST_LEN`] (a longer window outlasts every step of every path).
+#[derive(Debug, Clone)]
+pub(crate) struct NestMem {
+    cfg: MaupitiMemConfig,
+    from: Vec<[MemStats; 4]>,
+}
+
+impl NestMem {
+    fn new(w: &[Decoded], cfg: MaupitiMemConfig) -> Self {
+        let from = (0..=NEST_LEN as u32)
+            .map(|window| NEST_PATHS.map(|path| path.mem_charges(w, &cfg, window)))
+            .collect();
+        Self { cfg, from }
+    }
+
+    fn at(&self, window: u32) -> &[MemStats; 4] {
+        &self.from[(window as usize).min(NEST_LEN)]
+    }
 }
 
 /// Operands and per-path costs of a fused convolution kernel-x loop —
@@ -147,7 +222,7 @@ pub(crate) struct PathCost {
 /// A skip iteration executes `{0..4, 23, 24}` (left) or `{0..5, 23, 24}`
 /// (right) — the very same pc sequence the unfused engine retires when
 /// a guard side-exits into the `kx_next` tail block — so bulk-charging
-/// the precomputed [`PathCost`] per path keeps every counter
+/// the precomputed [`PathCost`] per [`NestPath`] keeps every counter
 /// bit-identical.
 #[derive(Debug, Clone)]
 pub(crate) struct NestDetail {
@@ -184,38 +259,72 @@ pub(crate) struct NestDetail {
     /// The embedded channel loop (always a `Mac` pattern), with `start`
     /// relative to its own head.
     pub inner: FusedOp,
-    /// Costs of a left-padding skip iteration (7 instructions).
-    pub skip_lo: PathCost,
-    /// Costs of a right-padding skip iteration (8 instructions).
-    pub skip_hi: PathCost,
-    /// Costs of a full iteration with a single channel-loop pass
-    /// (25 instructions).
-    pub full1: PathCost,
-    /// Costs of each extra channel-loop pass (7 instructions, taken
-    /// back-edge).
-    pub extra: PathCost,
+    /// Pipeline costs of each of [`NEST_PATHS`] (7, 8, 25 and 7
+    /// instructions).
+    pub paths: [PathCost; 4],
+    /// Memory-model charges per path, built on the first execution under
+    /// a [`MaupitiMemConfig`] and shared by every CPU running the block.
+    pub mem: OnceLock<NestMem>,
 }
 
 /// What one fused nest execution did, counted per architectural path so
-/// the engine can bulk-charge instret, cycles, stalls, flushes and the
-/// per-mnemonic trace exactly.
+/// the engine can bulk-charge instret, cycles, stalls, flushes, memory
+/// stalls and the per-mnemonic trace exactly.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct NestOutcome {
-    /// Iterations skipped through the left-padding (`blt`) guard.
-    pub skip_lo: u64,
-    /// Iterations skipped through the right-padding (`bge`) guard.
-    pub skip_hi: u64,
-    /// Full iterations (pointer setup plus the whole channel loop).
-    pub full: u64,
-    /// Extra channel-loop passes beyond the first, summed over all full
-    /// iterations.
-    pub inner_extra: u64,
+    /// The path of the first iteration (`None` when none ran).
+    pub first: Option<usize>,
+    /// How often each of [`NEST_PATHS`] ran: skip and full iterations,
+    /// plus the extra channel-loop passes of all full iterations.
+    pub counts: [u64; 4],
 }
 
 impl NestOutcome {
     /// Kernel-x iterations executed.
     pub fn iters(&self) -> u64 {
-        self.skip_lo + self.skip_hi + self.full
+        self.counts[SKIP_LO] + self.counts[SKIP_HI] + self.counts[FULL]
+    }
+
+    /// Charges the memory model for this execution's iterations of the
+    /// nest `d` over its window `w`, exactly as stepping
+    /// [`MemModelState::step`] through them would, and returns the stall
+    /// cycles. Only the first iteration starts from the live refill
+    /// window: every later iteration starts right after the closing
+    /// `jal` and every extra channel pass right after its taken `bne`,
+    /// where the window is exactly `prefetch_entries`. Counting a full
+    /// iteration as its single-pass path plus the extra passes reorders
+    /// the passes across the `addi`/`jal` tail only, which retires no
+    /// data access.
+    pub(crate) fn charge_mem(
+        &self,
+        d: &NestDetail,
+        w: &[Decoded],
+        cfg: &MaupitiMemConfig,
+        state: &mut MemModelState,
+        stats: &mut MemStats,
+    ) -> u64 {
+        // A block shared with a CPU under another configuration keeps
+        // that one's table; this one is rebuilt per entry.
+        let rebuilt;
+        let table = match d.mem.get_or_init(|| NestMem::new(w, *cfg)) {
+            t if t.cfg == *cfg => t,
+            _ => {
+                rebuilt = NestMem::new(w, *cfg);
+                &rebuilt
+            }
+        };
+        let (live, steady) = (table.at(state.window_left), table.at(cfg.prefetch_entries));
+        let mut charged = MemStats::default();
+        for (p, &n) in self.counts.iter().enumerate() {
+            let live_runs = (self.first == Some(p)) as u64;
+            charged.add_scaled(&live[p], live_runs);
+            charged.add_scaled(&steady[p], n - live_runs);
+        }
+        // Every iteration ends in the closing jal, which refills the
+        // prefetch buffer.
+        state.window_left = cfg.prefetch_entries;
+        stats.accumulate(&charged);
+        charged.stall_cycles()
     }
 }
 
@@ -236,16 +345,9 @@ pub(crate) struct FusedOp {
     pub body_len: usize,
     /// Loop counter register (`addi cnt, cnt, -1; bne cnt, x0, entry`).
     pub cnt: u8,
-    /// Pipeline base cycles of one iteration, branch flush excluded.
-    pub base_cycles: u64,
-    /// Flush cycles charged per taken back-edge.
-    pub flush_on_take: u64,
-    /// Load-use interlock stalls inside one steady-state iteration
-    /// (entered with no pending load, as after the back-edge branch).
-    pub steady_stalls: u64,
-    /// Read mask of the body's first instruction, for the incoming
-    /// load-use hazard of the very first iteration.
-    pub entry_reads_mask: u32,
+    /// Pipeline cost of one iteration ending in its taken back edge,
+    /// entered with no pending load (as after the previous back edge).
+    pub iter: PathCost,
     /// The idiom's operands.
     pub detail: FusedDetail,
 }
@@ -297,24 +399,6 @@ fn distinct_nonzero(regs: &[u8]) -> bool {
     true
 }
 
-/// Per-iteration pipeline summary of `instrs[..body_len]`: base cycles
-/// without the branch flush, the flush charged per taken back-edge, and
-/// the steady-state load-use stalls (simulated with no incoming load).
-fn body_costs(instrs: &[Decoded], body_len: usize) -> (u64, u64, u64) {
-    let body = &instrs[..body_len];
-    let base: u64 = body.iter().map(|d| d.base_cycles as u64).sum();
-    let flush = body[body_len - 1].flush_on_take as u64;
-    let mut load_dest = 0u8;
-    let mut stalls = 0u64;
-    for d in body {
-        if load_dest != 0 && (d.reads_mask >> load_dest) & 1 != 0 {
-            stalls += LOAD_USE_STALL;
-        }
-        load_dest = if d.is_load { d.rd } else { 0 };
-    }
-    (base, flush, stalls)
-}
-
 fn fused(
     kind: FusedKind,
     instrs: &[Decoded],
@@ -322,16 +406,13 @@ fn fused(
     cnt: u8,
     detail: FusedDetail,
 ) -> FusedOp {
-    let (base_cycles, flush_on_take, steady_stalls) = body_costs(instrs, body_len);
+    let body = &instrs[..body_len];
     FusedOp {
         kind,
         start: 0,
         body_len,
         cnt,
-        base_cycles,
-        flush_on_take,
-        steady_stalls,
-        entry_reads_mask: instrs[0].reads_mask,
+        iter: PathCost::of(body.iter().enumerate().map(|(j, d)| (d, j + 1 == body_len))),
         detail,
     }
 }
@@ -347,42 +428,27 @@ fn fused(
 /// traces, where pointer arithmetic precedes each channel loop. The
 /// first (earliest) match wins; the convolution nest is preferred over
 /// the plain patterns because it subsumes the channel loop it embeds.
-///
-/// Returns `(primary, inner)`: when the primary is a
-/// [`FusedKind::ConvNest`], `inner` carries the nest's embedded channel
-/// loop as a standalone plain MAC op, which the engine uses instead of
-/// the nest under the Maupiti memory model (whose order-sensitive
-/// per-iteration charges the nest does not reproduce).
-pub(crate) fn recognize(instrs: &[Decoded]) -> (Option<FusedOp>, Option<FusedOp>) {
-    for start in 0..instrs.len() {
+pub(crate) fn recognize(instrs: &[Decoded]) -> Option<FusedOp> {
+    (0..instrs.len()).find_map(|start| {
         let w = &instrs[start..];
         let head_pc = w[0].pc;
-        if let Some(mut f) = try_nest(w) {
-            f.start = start;
-            let mut inner = match &f.detail {
-                FusedDetail::ConvNest(n) => n.inner.clone(),
-                _ => unreachable!("try_nest yields a ConvNest detail"),
-            };
-            inner.start = start + NEST_INNER_OFF;
-            return (Some(f), Some(inner));
-        }
-        if let Some(mut f) = try_mac(head_pc, w)
+        let mut f = try_nest(w)
+            .or_else(|| try_mac(head_pc, w))
             .or_else(|| try_copy(head_pc, w))
-            .or_else(|| try_memset(head_pc, w))
-        {
-            f.start = start;
-            return (Some(f), None);
-        }
-    }
-    (None, None)
+            .or_else(|| try_memset(head_pc, w))?;
+        f.start = start;
+        Some(f)
+    })
 }
 
 /// Length of the nest window in instructions.
 pub(crate) const NEST_LEN: usize = 25;
 /// Offset of the embedded channel loop inside the nest window.
-pub(crate) const NEST_INNER_OFF: usize = 16;
+const NEST_INNER_OFF: usize = 16;
 /// Offset of the `addi kx, kx, 1` tail the padding guards skip to.
 const NEST_SKIP_OFF: usize = 23;
+/// Offset of the closing `jal x0, head`.
+const NEST_JAL_OFF: usize = 24;
 
 /// The operand of `d` that is not `r`, for commutative two-register ops.
 fn other_operand(d: &Decoded, r: u8) -> Option<u8> {
@@ -393,48 +459,6 @@ fn other_operand(d: &Decoded, r: u8) -> Option<u8> {
     } else {
         None
     }
-}
-
-/// Pipeline costs of one architectural path through the nest window
-/// `w`, mirroring the engine's per-instruction rules exactly: base
-/// cycles, load-use interlocks (the path is always entered with no
-/// pending load — every path starts at the `li`, which reads only x0),
-/// flush cycles added to `cycles` for taken conditional branches, and
-/// flush cycles tracked in `flushes` only for unconditional jumps.
-fn nest_path_cost(w: &[Decoded], path: &[(usize, bool)]) -> PathCost {
-    let mut c = PathCost {
-        instret: path.len() as u64,
-        ..PathCost::default()
-    };
-    let mut load_dest = 0u8;
-    for &(i, taken) in path {
-        let d = &w[i];
-        let mut cost = d.base_cycles as u64;
-        if load_dest != 0 && (d.reads_mask >> load_dest) & 1 != 0 {
-            cost += LOAD_USE_STALL;
-            c.stalls += LOAD_USE_STALL;
-        }
-        load_dest = if d.is_load { d.rd } else { 0 };
-        match d.op {
-            Op::Beq { .. }
-            | Op::Bne { .. }
-            | Op::Blt { .. }
-            | Op::Bge { .. }
-            | Op::Bltu { .. }
-            | Op::Bgeu { .. }
-                if taken =>
-            {
-                cost += d.flush_on_take as u64;
-                c.flushes += d.flush_on_take as u64;
-            }
-            Op::Jal { .. } | Op::JalFollowed { .. } => {
-                c.flushes += d.flush_on_take as u64;
-            }
-            _ => {}
-        }
-        c.cycles += cost;
-    }
-    c
 }
 
 /// Matches the convolution kernel-x guard loop (see [`NestDetail`] for
@@ -543,7 +567,8 @@ fn try_nest(w: &[Decoded]) -> Option<FusedOp> {
     if addi_self(&w[NEST_SKIP_OFF]) != Some((kx, 1)) {
         return None;
     }
-    if !matches!(w[24].op, Op::Jal { target, .. } if target == w[0].pc && w[24].rd == 0) {
+    let jal = &w[NEST_JAL_OFF];
+    if !matches!(jal.op, Op::Jal { target, .. } if target == w[0].pc && jal.rd == 0) {
         return None;
     }
     if !distinct_nonzero(&[
@@ -551,37 +576,6 @@ fn try_nest(w: &[Decoded]) -> Option<FusedOp> {
     ]) {
         return None;
     }
-    let skip_lo = nest_path_cost(
-        w,
-        &[
-            (0, false),
-            (1, false),
-            (2, false),
-            (3, false),
-            (4, true),
-            (23, false),
-            (24, false),
-        ],
-    );
-    let skip_hi = nest_path_cost(
-        w,
-        &[
-            (0, false),
-            (1, false),
-            (2, false),
-            (3, false),
-            (4, false),
-            (5, true),
-            (23, false),
-            (24, false),
-        ],
-    );
-    let full_path: Vec<(usize, bool)> = (0..NEST_LEN).map(|i| (i, false)).collect();
-    let full1 = nest_path_cost(w, &full_path);
-    let extra_path: Vec<(usize, bool)> = (NEST_INNER_OFF..NEST_SKIP_OFF)
-        .map(|i| (i, i == NEST_SKIP_OFF - 1))
-        .collect();
-    let extra = nest_path_cost(w, &extra_path);
     let detail = NestDetail {
         kx,
         kmax,
@@ -599,20 +593,15 @@ fn try_nest(w: &[Decoded]) -> Option<FusedOp> {
         wptr,
         trip_sh,
         inner,
-        skip_lo,
-        skip_hi,
-        full1,
-        extra,
+        paths: NEST_PATHS.map(|path| PathCost::of(path.steps(w))),
+        mem: OnceLock::new(),
     };
     Some(FusedOp {
         kind: FusedKind::ConvNest,
         start: 0,
         body_len: NEST_LEN,
         cnt: kx,
-        base_cycles: detail.full1.cycles,
-        flush_on_take: w[24].flush_on_take as u64,
-        steady_stalls: detail.full1.stalls,
-        entry_reads_mask: w[0].reads_mask,
+        iter: detail.paths[FULL],
         detail: FusedDetail::ConvNest(Box::new(detail)),
     })
 }
@@ -993,25 +982,23 @@ impl FusedOp {
                 break;
             }
             let ix = regs[d.ox as usize].wrapping_add(kx).wrapping_add(d.ix_bias);
-            let skip_lo = (ix as i32) < 0;
-            let skip_hi = !skip_lo && (ix as i32) >= (regs[d.w as usize] as i32);
-            if skip_lo || skip_hi {
-                let cost = if skip_lo {
-                    d.skip_lo.instret
-                } else {
-                    d.skip_hi.instret
-                };
+            let skip = if (ix as i32) < 0 {
+                Some(SKIP_LO)
+            } else if (ix as i32) >= (regs[d.w as usize] as i32) {
+                Some(SKIP_HI)
+            } else {
+                None
+            };
+            if let Some(path) = skip {
+                let cost = d.paths[path].instret;
                 if budget < cost {
                     break;
                 }
                 budget -= cost;
                 regs[d.scratch as usize] = ix;
                 regs[d.kx as usize] = kx.wrapping_add(1);
-                if skip_lo {
-                    out.skip_lo += 1;
-                } else {
-                    out.skip_hi += 1;
-                }
+                out.first.get_or_insert(path);
+                out.counts[path] += 1;
                 continue;
             }
             let ch = regs[d.ch as usize];
@@ -1020,7 +1007,7 @@ impl FusedOp {
                 break;
             }
             let trip = trip0 as u64;
-            let cost = d.full1.instret + (trip - 1) * d.extra.instret;
+            let cost = d.paths[FULL].instret + (trip - 1) * d.paths[EXTRA].instret;
             if budget < cost {
                 break;
             }
@@ -1056,8 +1043,9 @@ impl FusedOp {
                 .execute(regs, mem, trip)
                 .expect("pre-validated channel-loop streams");
             regs[d.kx as usize] = kx.wrapping_add(1);
-            out.full += 1;
-            out.inner_extra += trip - 1;
+            out.first.get_or_insert(FULL);
+            out.counts[FULL] += 1;
+            out.counts[EXTRA] += trip - 1;
         }
         out
     }
@@ -1198,22 +1186,19 @@ mod tests {
         ]
     }
 
-    /// The primary recognised op, as most tests only care about it.
-    fn recognize1(instrs: &[Decoded]) -> Option<FusedOp> {
-        recognize(instrs).0
-    }
-
     #[test]
     fn recognizes_the_kernel_mac_loops() {
         for (four_bit, kind) in [(false, FusedKind::MacSdotp8), (true, FusedKind::MacSdotp4)] {
-            let f = recognize1(&dec(&mac_loop(four_bit))).expect("mac loop should fuse");
+            let f = recognize(&dec(&mac_loop(four_bit))).expect("mac loop should fuse");
             assert_eq!(f.kind, kind);
             assert_eq!(f.body_len, 7);
             assert_eq!(f.cnt, reg::T3);
             // The sdotp reads t5 one instruction after its lw: exactly one
-            // steady-state load-use stall per iteration.
-            assert_eq!(f.steady_stalls, LOAD_USE_STALL);
-            assert!(f.flush_on_take > 0);
+            // steady-state load-use stall per iteration, plus the flush of
+            // the taken back edge.
+            assert_eq!(f.iter.stalls, 1);
+            assert_eq!(f.iter.flushes, 2);
+            assert_eq!(f.iter.instret, 7);
         }
     }
 
@@ -1222,21 +1207,21 @@ mod tests {
         use crate::{LoadOp, StoreOp};
         let unit = |f: FusedOp| f.kind;
         assert_eq!(
-            unit(recognize1(&dec(&copy_loop(LoadOp::Lw, StoreOp::Sw, 4, 4))).unwrap()),
+            unit(recognize(&dec(&copy_loop(LoadOp::Lw, StoreOp::Sw, 4, 4))).unwrap()),
             FusedKind::Memcpy
         );
         assert_eq!(
-            unit(recognize1(&dec(&copy_loop(LoadOp::Lbu, StoreOp::Sb, 1, 1))).unwrap()),
+            unit(recognize(&dec(&copy_loop(LoadOp::Lbu, StoreOp::Sb, 1, 1))).unwrap()),
             FusedKind::Memcpy
         );
         // im2col-style gather: byte copy walking the source by a row pitch.
         assert_eq!(
-            unit(recognize1(&dec(&copy_loop(LoadOp::Lb, StoreOp::Sb, 9, 1))).unwrap()),
+            unit(recognize(&dec(&copy_loop(LoadOp::Lb, StoreOp::Sb, 9, 1))).unwrap()),
             FusedKind::StridedCopy
         );
         // Width-changing copies never qualify as memcpy.
         assert_eq!(
-            unit(recognize1(&dec(&copy_loop(LoadOp::Lh, StoreOp::Sb, 2, 1))).unwrap()),
+            unit(recognize(&dec(&copy_loop(LoadOp::Lh, StoreOp::Sb, 2, 1))).unwrap()),
             FusedKind::StridedCopy
         );
     }
@@ -1250,13 +1235,13 @@ mod tests {
             (StoreOp::Sw, 4),
             (StoreOp::Sb, 3),
         ] {
-            let f = recognize1(&dec(&memset_loop(store, stride, reg::ZERO)))
+            let f = recognize(&dec(&memset_loop(store, stride, reg::ZERO)))
                 .expect("memset loop should fuse");
             assert_eq!(f.kind, FusedKind::Memset);
             assert_eq!(f.body_len, 4);
         }
         // Non-zero fill value is fine too.
-        assert!(recognize1(&dec(&memset_loop(StoreOp::Sb, 1, reg::A0))).is_some());
+        assert!(recognize(&dec(&memset_loop(StoreOp::Sb, 1, reg::A0))).is_some());
     }
 
     #[test]
@@ -1271,41 +1256,41 @@ mod tests {
         if let Instr::Branch { rs1, .. } = &mut p[5] {
             *rs1 = reg::T1;
         }
-        assert!(recognize1(&dec(&p)).is_none());
+        assert!(recognize(&dec(&p)).is_none());
 
         // Memset whose "value" register is the walked pointer.
-        assert!(recognize1(&dec(&memset_loop(StoreOp::Sb, 1, reg::T1))).is_none());
+        assert!(recognize(&dec(&memset_loop(StoreOp::Sb, 1, reg::T1))).is_none());
 
         // Back edge to somewhere other than the trace entry.
         let p = mac_loop(false);
-        assert!(recognize1(&dec(&p)[1..]).is_none());
+        assert!(recognize(&dec(&p)[1..]).is_none());
 
         // Decrement by something other than -1.
         let mut p = mac_loop(false);
         if let Instr::Addi { imm, .. } = &mut p[5] {
             *imm = -2;
         }
-        assert!(recognize1(&dec(&p)).is_none());
+        assert!(recognize(&dec(&p)).is_none());
 
         // `bne` against a non-zero register is not a counted loop.
         let mut p = mac_loop(false);
         if let Instr::Branch { rs2, .. } = &mut p[6] {
             *rs2 = reg::A0;
         }
-        assert!(recognize1(&dec(&p)).is_none());
+        assert!(recognize(&dec(&p)).is_none());
 
         // `beq` back edges never fuse.
         let mut p = mac_loop(false);
         if let Instr::Branch { op, .. } = &mut p[6] {
             *op = BranchOp::Beq;
         }
-        assert!(recognize1(&dec(&p)).is_none());
+        assert!(recognize(&dec(&p)).is_none());
     }
 
     #[test]
     fn executor_runs_a_memcpy_and_writes_back_loop_registers() {
         use crate::{LoadOp, StoreOp};
-        let f = recognize1(&dec(&copy_loop(LoadOp::Lw, StoreOp::Sw, 4, 4))).unwrap();
+        let f = recognize(&dec(&copy_loop(LoadOp::Lw, StoreOp::Sw, 4, 4))).unwrap();
         let mut mem = Memory::new(1024, 1024);
         let src: Vec<u8> = (0u8..64).collect();
         mem.write_dmem(DMEM_BASE, &src);
@@ -1327,7 +1312,7 @@ mod tests {
     #[test]
     fn executor_caps_iterations_at_the_budget() {
         use crate::StoreOp;
-        let f = recognize1(&dec(&memset_loop(StoreOp::Sb, 1, reg::A0))).unwrap();
+        let f = recognize(&dec(&memset_loop(StoreOp::Sb, 1, reg::A0))).unwrap();
         let mut mem = Memory::new(1024, 1024);
         let mut regs = [0u32; 32];
         regs[reg::T1 as usize] = DMEM_BASE;
@@ -1345,7 +1330,7 @@ mod tests {
     #[test]
     fn executor_declines_out_of_bounds_streams_and_zero_budgets() {
         use crate::StoreOp;
-        let f = recognize1(&dec(&memset_loop(StoreOp::Sw, 4, reg::ZERO))).unwrap();
+        let f = recognize(&dec(&memset_loop(StoreOp::Sw, 4, reg::ZERO))).unwrap();
         let mut mem = Memory::new(1024, 1024);
         let mut regs = [0u32; 32];
         // Trip count runs 4 bytes past the 1 KiB data memory.
@@ -1366,7 +1351,7 @@ mod tests {
     #[test]
     fn executor_treats_zero_counter_as_a_full_wrap() {
         use crate::StoreOp;
-        let f = recognize1(&dec(&memset_loop(StoreOp::Sb, 1, reg::ZERO))).unwrap();
+        let f = recognize(&dec(&memset_loop(StoreOp::Sb, 1, reg::ZERO))).unwrap();
         let mut mem = Memory::new(1024, 1024);
         mem.write_dmem(DMEM_BASE, &[0xFF; 16]);
         let mut regs = [0u32; 32];
@@ -1489,8 +1474,7 @@ mod tests {
 
     #[test]
     fn recognizes_the_conv_kx_nest() {
-        let (primary, inner) = recognize(&dec(&nest_loop()));
-        let f = primary.expect("nest should fuse");
+        let f = recognize(&dec(&nest_loop())).expect("nest should fuse");
         assert_eq!(f.kind, FusedKind::ConvNest);
         assert_eq!(f.start, 0);
         assert_eq!(f.body_len, NEST_LEN);
@@ -1519,25 +1503,15 @@ mod tests {
         );
         // Path shapes: 7-instruction left skip, 8-instruction right skip,
         // 25-instruction full iteration, 7-instruction extra channel pass.
-        assert_eq!(
-            [
-                d.skip_lo.instret,
-                d.skip_hi.instret,
-                d.full1.instret,
-                d.extra.instret
-            ],
-            [7, 8, 25, 7]
-        );
+        assert_eq!(d.paths.map(|p| p.instret), [7, 8, 25, 7]);
         // Only the channel loop has the lw->sdotp interlock.
-        assert_eq!(d.skip_lo.stalls, 0);
-        assert_eq!(d.full1.stalls, LOAD_USE_STALL);
-        assert_eq!(d.extra.stalls, LOAD_USE_STALL);
-        // Every path flushes at least once (guard or jump).
-        assert!(d.skip_lo.flushes > 0 && d.full1.flushes > 0 && d.extra.flushes > 0);
-        // The embedded channel loop rides along for the Maupiti fallback.
-        let inner = inner.expect("nest carries its inner loop");
-        assert_eq!(inner.kind, FusedKind::MacSdotp8);
-        assert_eq!(inner.start, NEST_INNER_OFF);
+        assert_eq!(d.paths.map(|p| p.stalls), [0, 0, 1, 1]);
+        // Skips flush on the taken guard (2) and the jal (1), a full
+        // iteration on the jal only, an extra pass on its back edge.
+        assert_eq!(d.paths.map(|p| p.flushes), [3, 3, 1, 2]);
+        // The embedded channel loop is one executor the nest drives; the
+        // trace recognises only the nest around it.
+        assert_eq!(d.inner.kind, FusedKind::MacSdotp8);
     }
 
     #[test]
@@ -1546,12 +1520,9 @@ mod tests {
         // channel loop at offset 16 still fuses on its own.
         let mut p = nest_loop();
         p.pop();
-        let (f, inner) = recognize(&dec(&p));
-        assert_eq!(
-            f.expect("inner mac should still fuse").kind,
-            FusedKind::MacSdotp8
-        );
-        assert!(inner.is_none());
+        let f = recognize(&dec(&p)).expect("inner mac should still fuse");
+        assert_eq!(f.kind, FusedKind::MacSdotp8);
+        assert_eq!(f.start, NEST_INNER_OFF);
 
         // Guards skipping anywhere but the `addi kx` tail are not a nest
         // (the channel loop may still fuse on its own).
@@ -1559,23 +1530,19 @@ mod tests {
         if let Instr::Branch { offset, .. } = &mut p[4] {
             *offset += 4;
         }
-        assert!(recognize(&dec(&p))
-            .0
-            .is_none_or(|f| f.kind != FusedKind::ConvNest));
+        assert!(recognize(&dec(&p)).is_none_or(|f| f.kind != FusedKind::ConvNest));
 
         // A counter register aliasing the kernel-x register is rejected.
         let mut p = nest_loop();
         if let Instr::Srli { rd, .. } = &mut p[15] {
             *rd = reg::T6;
         }
-        assert!(recognize(&dec(&p))
-            .0
-            .is_none_or(|f| f.kind != FusedKind::ConvNest));
+        assert!(recognize(&dec(&p)).is_none_or(|f| f.kind != FusedKind::ConvNest));
     }
 
     #[test]
     fn nest_executor_walks_guards_and_full_iterations() {
-        let f = recognize(&dec(&nest_loop())).0.unwrap();
+        let f = recognize(&dec(&nest_loop())).unwrap();
         let mut mem = Memory::new(1024, 4096);
         let bytes: Vec<u8> = (0..2048u32)
             .map(|i| (i.wrapping_mul(23) >> 3) as u8)
@@ -1592,10 +1559,8 @@ mod tests {
         regs[reg::S10 as usize] = DMEM_BASE + 512;
         let mut full_budget = regs;
         let out = f.execute_nest(&mut full_budget, &mut mem, u64::MAX);
-        assert_eq!(
-            (out.skip_lo, out.skip_hi, out.full, out.inner_extra),
-            (1, 0, 2, 0)
-        );
+        assert_eq!(out.counts, [1, 0, 2, 0]);
+        assert_eq!(out.first, Some(SKIP_LO));
         assert_eq!(out.iters(), 3);
         assert_eq!(full_budget[reg::T6 as usize], 3, "kx ran to the bound");
         assert_eq!(full_budget[reg::T3 as usize], 0, "channel counter spent");
@@ -1603,24 +1568,21 @@ mod tests {
         // the iteration boundary.
         let mut capped = regs;
         let out = f.execute_nest(&mut capped, &mut mem, 7 + 25);
-        assert_eq!((out.skip_lo, out.full), (1, 1));
+        assert_eq!(out.counts, [1, 0, 1, 0]);
         assert_eq!(capped[reg::T6 as usize], 2);
         // ox = W - 1 exercises the right-padding guard on the last kx.
         let mut right = regs;
         right[reg::S6 as usize] = 3;
         let out = f.execute_nest(&mut right, &mut mem, u64::MAX);
-        assert_eq!((out.skip_lo, out.skip_hi, out.full), (0, 1, 2));
+        assert_eq!(out.counts, [0, 1, 2, 0]);
+        assert_eq!(out.first, Some(FULL));
         // An out-of-bounds channel stream declines at the iteration
         // boundary without touching the counter.
         let mut oob = regs;
         oob[reg::S11 as usize] = 100_000;
         let before = oob;
         let out = f.execute_nest(&mut oob, &mut mem, u64::MAX);
-        assert_eq!(
-            (out.iters(), out.skip_lo),
-            (1, 1),
-            "only the guard skip ran"
-        );
+        assert_eq!(out.counts, [1, 0, 0, 0], "only the guard skip ran");
         assert_eq!(oob[reg::T6 as usize], 1);
         assert_eq!(oob[reg::T1 as usize], before[reg::T1 as usize]);
     }
@@ -1628,7 +1590,7 @@ mod tests {
     #[test]
     fn overlapping_copy_matches_element_by_element_semantics() {
         use crate::{LoadOp, StoreOp};
-        let f = recognize1(&dec(&copy_loop(LoadOp::Lbu, StoreOp::Sb, 1, 1))).unwrap();
+        let f = recognize(&dec(&copy_loop(LoadOp::Lbu, StoreOp::Sb, 1, 1))).unwrap();
         let mut mem = Memory::new(1024, 1024);
         mem.write_dmem(DMEM_BASE, &[1, 2, 3, 4, 5, 6, 7, 8]);
         let mut regs = [0u32; 32];

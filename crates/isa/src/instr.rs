@@ -532,7 +532,7 @@ pub(crate) enum Op {
 }
 
 /// A pre-decoded instruction: the architectural [`Instr`] plus the static
-/// metadata the block-cached engine and the pipelined timing model need,
+/// metadata the block-cached engine and the IBEX timing model need,
 /// extracted once at decode time instead of on every execution.
 ///
 /// `rs1`/`rs2` are the registers the instruction *reads* (0 when a port is
@@ -568,8 +568,8 @@ pub struct Decoded {
     /// Bitmask of registers read (bit r set when register r is read; bit 0
     /// is meaningless since x0 never participates in hazards).
     pub reads_mask: u32,
-    /// Flat stage-occupancy cycles (IBEX reference numbers; taken-branch
-    /// redirect cycles are added at run time).
+    /// Stage-occupancy cycles (IBEX reference numbers; the fetch flush of
+    /// a taken control transfer is added at run time).
     pub base_cycles: u8,
     /// The lowered micro-operation executed by the block-cached engine.
     pub(crate) op: Op,
@@ -625,11 +625,7 @@ impl Decoded {
             instr,
             Jal { .. } | Jalr { .. } | Branch { .. } | Ecall | Ebreak
         );
-        let flush_on_take = match instr {
-            Jal { .. } | Jalr { .. } => 1,
-            Branch { .. } => 2,
-            _ => 0,
-        };
+        let flush_on_take = crate::pipeline::flush_cycles(&instr);
         let base_cycles = crate::pipeline::stage_cycles(&instr);
         let mut reads_mask = 0u32;
         reads_mask |= 1 << rs1;

@@ -13,18 +13,19 @@
 //!   support (the SDOTP instructions use the `custom-0` opcode), plus the
 //!   pre-decoded [`Decoded`] IR consumed by the block-cached engine;
 //! * a [`Cpu`] executing from byte-addressed instruction/data memories
-//!   with an instruction [`Trace`] and two engines selected by
-//!   [`ExecMode`]: the `Simple` reference interpreter with flat IBEX
-//!   cycle costs, and the `BlockCached` superblock-trace engine with
-//!   side-exit chaining, a pipelined IBEX timing model (load-use
-//!   interlock and branch-flush stall accounting via [`PipelineStats`])
-//!   and a per-block execution profile ([`Cpu::hottest_blocks`]) that
-//!   runs the deployed CNN workloads several times faster. The decoded
-//!   blocks are shared `Arc` snapshots, so `Cpu` is `Send` and a warmed
-//!   CPU clones across threads for parallel frame evaluation;
+//!   with an instruction [`Trace`], one pipelined IBEX timing model
+//!   (load-use interlock and branch-flush stall accounting via
+//!   [`PipelineStats`]) and two engines selected by [`ExecMode`] that
+//!   differ only in speed: the `Simple` reference interpreter, and the
+//!   `BlockCached` superblock-trace engine with side-exit chaining,
+//!   macro-op fusion and a per-block execution profile
+//!   ([`Cpu::hottest_blocks`]) that runs the deployed CNN workloads
+//!   several times faster. The decoded blocks are shared `Arc`
+//!   snapshots, so `Cpu` is `Send` and a warmed CPU clones across
+//!   threads for parallel frame evaluation;
 //! * a pluggable memory-hierarchy cost seam ([`MemoryModel`]): the
-//!   default [`MemoryModel::Flat`] reproduces the ideal-memory cycle
-//!   counts bit-identically, while [`MemoryModel::Maupiti`] models a
+//!   default [`MemoryModel::Flat`] charges nothing beyond the pipeline
+//!   model (ideal memories), while [`MemoryModel::Maupiti`] models a
 //!   prefetch buffer refilling after taken control transfers plus a
 //!   single-port data SRAM contending with the refill path, with
 //!   per-cause stall counters in [`MemStats`] (see [`MemoryModel`] and
@@ -62,10 +63,7 @@ pub use engine::ExecMode;
 pub use instr::{decode, BranchOp, Decoded, Instr, LoadOp, StoreOp};
 pub use mem_model::{MaupitiMemConfig, MemStats, MemoryModel};
 pub use memory::{Memory, DMEM_BASE, IMEM_BASE};
-pub use pipeline::{
-    stage_cycles, PipelineStats, CYCLES_ALU, CYCLES_BRANCH_TAKEN, CYCLES_DIV, CYCLES_JUMP,
-    CYCLES_MEM, LOAD_USE_STALL,
-};
+pub use pipeline::PipelineStats;
 
 /// Register indices by RISC-V ABI name.
 pub mod reg {

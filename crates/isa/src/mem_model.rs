@@ -1,7 +1,7 @@
 //! Pluggable memory-hierarchy cost models: the seam every instruction
 //! fetch and data access is charged through.
 //!
-//! The flat IBEX cycle table ([`crate::pipeline`]) assumes an ideal
+//! The IBEX pipeline model ([`crate::pipeline`]) assumes an ideal
 //! memory system: fetch always hits and a load/store always completes in
 //! its two-cycle data-interface slot. Real silicon does not work that way
 //! — on the MAUPITI chip the instruction stream is fed by a small
@@ -11,9 +11,8 @@
 //! difference explicit:
 //!
 //! * [`MemoryModel::Flat`] — the ideal memory system. Charges nothing on
-//!   top of the flat per-op cycle table, reproducing the historical cycle
-//!   counts **bit-identically** in every execution mode. This is the
-//!   default.
+//!   top of the pipeline model, so cycle counts are the pipeline's alone.
+//!   This is the default.
 //! * [`MemoryModel::Maupiti`] — the modelled hierarchy, parameterised by
 //!   [`MaupitiMemConfig`]. Every PC redirect (taken branch, jump) flushes
 //!   the prefetch buffer and pays [`MaupitiMemConfig::refill_cycles`] of
@@ -26,13 +25,16 @@
 //!   and the extra cycles are strictly monotone in the refill latency.
 //!
 //! The model is defined over the stream of *retired* instructions, so
-//! both engines can implement it exactly: the reference interpreter steps
-//! [`MemModelState::step`] once per instruction, while the block-cached
+//! every execution path implements it exactly: the reference interpreter
+//! steps [`MemModelState::step`] once per instruction, the block-cached
 //! engine charges a whole trace execution in one call to
 //! [`MemModelState::charge_prefix`] using the per-trace access summaries
 //! precomputed on each decoded block (`Block::mem_prefix` /
-//! `Block::redirects`). The two bookkeeping paths are held to identical
-//! stall counters by the differential tests in this crate.
+//! `Block::redirects`), plain fused loops go through
+//! [`MemModelState::charge_loop`], and the fused convolution nest
+//! multiplies per-path charges stepped through [`MemModelState::step`]
+//! (`crate::fusion`). The differential tests in this crate hold all of
+//! them to identical stall counters.
 //!
 //! Stalls are broken out by cause in [`MemStats`], which downstream
 //! consumers (`pcount-platform`, `pcount-core`) use to split per-inference
@@ -41,8 +43,7 @@
 /// Per-cause stall counters of the memory-hierarchy model.
 ///
 /// All counters are zero under [`MemoryModel::Flat`]. Total extra cycles
-/// charged on top of the flat per-op table are
-/// [`MemStats::stall_cycles`].
+/// charged on top of the pipeline model are [`MemStats::stall_cycles`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemStats {
     /// Prefetch-buffer misses: taken control transfers that forced a
@@ -66,10 +67,15 @@ impl MemStats {
 
     /// Adds `other`'s counters into `self`.
     pub fn accumulate(&mut self, other: &MemStats) {
-        self.fetch_misses += other.fetch_misses;
-        self.imem_stall_cycles += other.imem_stall_cycles;
-        self.contended_accesses += other.contended_accesses;
-        self.dmem_stall_cycles += other.dmem_stall_cycles;
+        self.add_scaled(other, 1);
+    }
+
+    /// Adds `k` times `other`'s counters into `self`.
+    pub(crate) fn add_scaled(&mut self, other: &MemStats, k: u64) {
+        self.fetch_misses += other.fetch_misses * k;
+        self.imem_stall_cycles += other.imem_stall_cycles * k;
+        self.contended_accesses += other.contended_accesses * k;
+        self.dmem_stall_cycles += other.dmem_stall_cycles * k;
     }
 }
 
@@ -105,8 +111,7 @@ impl Default for MaupitiMemConfig {
 /// data accesses through.
 ///
 /// [`MemoryModel::Flat`] assumes ideal memories and charges nothing
-/// beyond the flat per-op cycle table, reproducing the historical cycle
-/// counts bit-identically; [`MemoryModel::Maupiti`] models an N-entry
+/// beyond the pipeline model; [`MemoryModel::Maupiti`] models an N-entry
 /// prefetch buffer that refills after every taken control transfer and a
 /// single-port data SRAM whose port contends with that refill stream,
 /// with per-cause stall counters in [`MemStats`]. Both execution engines
@@ -114,9 +119,7 @@ impl Default for MaupitiMemConfig {
 /// instruction stream), so the stall breakdown is engine-independent.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum MemoryModel {
-    /// Ideal memories: no charge beyond the flat per-op cycle table.
-    /// Cycle counts are bit-identical to the historical (pre-seam)
-    /// accounting in every execution mode.
+    /// Ideal memories: no charge beyond the pipeline model.
     #[default]
     Flat,
     /// Prefetch buffer + single-port SRAM hierarchy.
@@ -275,12 +278,8 @@ impl MemModelState {
         if iters > 1 {
             let mut steady = MemStats::default();
             let per = self.charge_prefix(cfg, mem_prefix, redirects, start, n, true, &mut steady);
-            let k = iters - 1;
-            total += per * k;
-            stats.fetch_misses += steady.fetch_misses * k;
-            stats.imem_stall_cycles += steady.imem_stall_cycles * k;
-            stats.contended_accesses += steady.contended_accesses * k;
-            stats.dmem_stall_cycles += steady.dmem_stall_cycles * k;
+            total += per * (iters - 1);
+            stats.add_scaled(&steady, iters - 1);
         }
         total
     }

@@ -1,80 +1,56 @@
-//! Pipelined IBEX-style timing model: state and stall accounting.
+//! The IBEX timing model: one per-instruction rule for every execution
+//! path.
 //!
-//! The block-cached engine charges cycles through this model instead of the
-//! flat per-instruction costs of the reference interpreter. The model
-//! follows the IBEX micro-architecture: an in-order, single-issue core with
-//! an instruction-fetch stage feeding a combined decode/execute stage.
+//! IBEX is an in-order, single-issue core whose fetch stage feeds a
+//! combined decode/execute stage. An instruction occupies that stage for
+//! 1 cycle (ALU, multiply, control transfer, and SDOTP — the MAUPITI
+//! SDOTP unit is single-cycle because the paper replicates multipliers
+//! instead of sharing them), 2 cycles (loads and stores: one extra
+//! data-interface cycle) or 37 cycles (the iterative divider). Two hazards
+//! come on top:
 //!
-//! Per-instruction occupancy of the decode/execute stage:
-//!
-//! * 1 cycle for ALU, multiply and SDOTP operations (the MAUPITI SDOTP unit
-//!   is single-cycle by construction — the paper replicates multipliers
-//!   instead of sharing them);
-//! * 2 cycles for loads and stores (one extra data-interface cycle);
-//! * 37 cycles for divisions and remainders (iterative divider);
-//! * jumps spend 1 extra cycle refilling the fetch stage (target known in
-//!   decode), taken branches 2 (target resolved in execute).
-//!
-//! On top of the stage occupancy the model accounts two hazards the flat
-//! model cannot see:
-//!
-//! * **load-use interlock** — an instruction reading the destination of the
-//!   immediately preceding load stalls [`LOAD_USE_STALL`] cycle while the
-//!   data returns;
+//! * **load-use interlock** — an instruction reading the destination of
+//!   the immediately preceding load stalls one cycle while the data
+//!   returns;
 //! * **branch flush** — a taken control transfer squashes the prefetched
-//!   instruction; the refill cycles are recorded in
-//!   [`PipelineStats::flush_cycles`] and any pending load-use forwarding
-//!   state is cleared.
+//!   instruction: jumps (target known in decode) pay 1 refill cycle, taken
+//!   branches (target resolved in execute) 2.
 //!
-//! The hazard logic itself is inlined in the engine's dispatch loop
-//! (`crate::engine`); this module owns the per-op cost table shared by
-//! both engines ([`stage_cycles`] and the `CYCLES_*` constants — the
-//! reference interpreter and the pre-decoder both read it from here
-//! instead of keeping private copies), plus the state that persists
-//! across basic blocks and the observable counters. Memory-hierarchy
-//! stalls on top of these stage costs are charged separately through
-//! [`crate::MemoryModel`].
+//! [`Pipeline::retire`] is that rule over a [`Decoded`]'s timing fields.
+//! The reference interpreter calls it once per step, the block-cached
+//! engine once per dispatched instruction, and macro-op fusion sums it
+//! over each fused loop path ([`PathCost::of`]) — so both engines report
+//! identical cycles and [`PipelineStats`]. Memory-hierarchy stalls come
+//! on top, through [`crate::MemoryModel`].
 
-use crate::instr::Instr;
+use crate::instr::{Decoded, Instr};
 
-/// Extra cycle charged when an instruction consumes the result of the
-/// immediately preceding load.
-pub const LOAD_USE_STALL: u64 = 1;
+/// Stage-occupancy cycles of ALU, multiply, SDOTP and control transfers,
+/// of loads and stores, and of divisions / remainders.
+const CYCLES_ALU: u8 = 1;
+const CYCLES_MEM: u8 = 2;
+const CYCLES_DIV: u8 = 37;
+/// Stall of an instruction consuming the preceding load's result.
+const LOAD_USE_STALL: u64 = 1;
 
-/// Stage-occupancy cycles of ALU, multiply and SDOTP instructions (the
-/// MAUPITI SDOTP unit is single-cycle by construction).
-pub const CYCLES_ALU: u64 = 1;
-/// Stage-occupancy cycles of a load or store (IBEX data interface).
-pub const CYCLES_MEM: u64 = 2;
-/// Total cycles of a taken branch (target resolved in execute:
-/// [`CYCLES_ALU`] plus a 2-cycle fetch flush).
-pub const CYCLES_BRANCH_TAKEN: u64 = 3;
-/// Total cycles of a jump (target known in decode: [`CYCLES_ALU`] plus a
-/// 1-cycle fetch flush).
-pub const CYCLES_JUMP: u64 = 2;
-/// Stage-occupancy cycles of a division / remainder (iterative divider).
-pub const CYCLES_DIV: u64 = 37;
-
-// `Decoded` stores per-op costs in a `u8`; a recalibration past 255 must
-// fail to compile instead of silently truncating every cycle count.
-const _: () = assert!(CYCLES_ALU <= u8::MAX as u64);
-const _: () = assert!(CYCLES_MEM <= u8::MAX as u64);
-const _: () = assert!(CYCLES_JUMP <= u8::MAX as u64);
-const _: () = assert!(CYCLES_DIV <= u8::MAX as u64);
-
-/// Flat stage-occupancy cycles of one instruction — the single source of
-/// the per-op cost table used by both execution engines. Jumps include
-/// their always-paid fetch flush; the extra redirect cycles of a *taken*
-/// branch ([`CYCLES_BRANCH_TAKEN`]) are charged at run time because an
-/// untaken branch retires in one cycle.
-pub fn stage_cycles(instr: &Instr) -> u8 {
+/// Stage-occupancy cycles of one instruction (`Decoded::base_cycles`).
+pub(crate) fn stage_cycles(instr: &Instr) -> u8 {
     match instr {
-        Instr::Load { .. } | Instr::Store { .. } => CYCLES_MEM as u8,
+        Instr::Load { .. } | Instr::Store { .. } => CYCLES_MEM,
         Instr::Div { .. } | Instr::Divu { .. } | Instr::Rem { .. } | Instr::Remu { .. } => {
-            CYCLES_DIV as u8
+            CYCLES_DIV
         }
-        Instr::Jal { .. } | Instr::Jalr { .. } => CYCLES_JUMP as u8,
-        _ => CYCLES_ALU as u8,
+        _ => CYCLES_ALU,
+    }
+}
+
+/// Fetch-refill cycles one instruction pays when it redirects the PC
+/// (`Decoded::flush_on_take`).
+pub(crate) fn flush_cycles(instr: &Instr) -> u8 {
+    match instr {
+        Instr::Jal { .. } | Instr::Jalr { .. } => 1,
+        Instr::Branch { .. } => 2,
+        _ => 0,
     }
 }
 
@@ -90,7 +66,7 @@ pub struct PipelineStats {
 }
 
 /// Hazard-tracking state of the fetch/decode/execute pipeline.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Pipeline {
     /// Destination register of the load currently in its memory cycle
     /// (0 = none; x0 loads never interlock).
@@ -100,14 +76,66 @@ pub(crate) struct Pipeline {
 }
 
 impl Pipeline {
-    /// Clears hazard state and counters (new program image).
-    pub(crate) fn reset(&mut self) {
-        *self = Self::default();
+    /// The timing rule: retires `d`, which redirected the PC iff `taken`
+    /// (a jump, or a taken conditional branch), and returns its cycles —
+    /// stage occupancy, a load-use stall when it reads the preceding
+    /// load's destination, and the flush of a taken control transfer.
+    /// Updates the hazard state and the stall/flush counters; counting
+    /// retired instructions is left to the caller.
+    #[inline(always)]
+    pub(crate) fn retire(&mut self, d: &Decoded, taken: bool) -> u64 {
+        let stall = if self.load_dest != 0 && (d.reads_mask >> self.load_dest) & 1 != 0 {
+            LOAD_USE_STALL
+        } else {
+            0
+        };
+        let flush = if taken { d.flush_on_take as u64 } else { 0 };
+        self.load_dest = if d.is_load { d.rd } else { 0 };
+        self.stats.load_use_stalls += stall;
+        self.stats.flush_cycles += flush;
+        d.base_cycles as u64 + stall + flush
     }
 
-    /// Stall/flush counters accumulated so far.
-    pub(crate) fn stats(&self) -> PipelineStats {
-        self.stats
+    /// Charges `times` back-to-back runs of a precomputed path and
+    /// returns their cycles. Exact when the path ends in a control
+    /// transfer and its first instruction cannot stall on the current
+    /// state (it reads no pending load, or follows another run).
+    pub(crate) fn repeat(&mut self, path: &PathCost, times: u64) -> u64 {
+        if times > 0 {
+            self.load_dest = 0;
+            self.stats.load_use_stalls += path.stalls * times;
+            self.stats.flush_cycles += path.flushes * times;
+        }
+        path.cycles * times
+    }
+}
+
+/// What [`Pipeline::retire`] charges along one instruction path entered
+/// with no pending load.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct PathCost {
+    /// Instructions retired on the path.
+    pub instret: u64,
+    /// Cycles charged, stalls and flushes included.
+    pub cycles: u64,
+    /// Load-use stall cycles within `cycles`.
+    pub stalls: u64,
+    /// Flush cycles within `cycles`.
+    pub flushes: u64,
+}
+
+impl PathCost {
+    /// Times `path`, a sequence of (instruction, taken) steps.
+    pub(crate) fn of<'a>(path: impl IntoIterator<Item = (&'a Decoded, bool)>) -> Self {
+        let mut pipe = Pipeline::default();
+        let mut cost = PathCost::default();
+        for (d, taken) in path {
+            cost.instret += 1;
+            cost.cycles += pipe.retire(d, taken);
+        }
+        cost.stalls = pipe.stats.load_use_stalls;
+        cost.flushes = pipe.stats.flush_cycles;
+        cost
     }
 }
 
@@ -117,12 +145,18 @@ mod tests {
     use crate::memory::DMEM_BASE;
     use crate::{reg, Cpu, ExecMode};
 
-    /// Runs `program` on the block-cached engine and returns the CPU.
+    /// Runs `program` on both engines, checks that they time it
+    /// identically and returns the block-cached CPU.
     fn run_cached(program: &[Instr]) -> Cpu {
-        let mut cpu = Cpu::new_default().with_exec_mode(ExecMode::BlockCached);
-        cpu.load_program(program).unwrap();
-        cpu.run(100_000).unwrap();
-        cpu
+        let [simple, cached] = [ExecMode::Simple, ExecMode::BlockCached].map(|mode| {
+            let mut cpu = Cpu::new_default().with_exec_mode(mode);
+            cpu.load_program(program).unwrap();
+            cpu.run(100_000).unwrap();
+            cpu
+        });
+        assert_eq!(simple.cycles, cached.cycles, "engines disagree on cycles");
+        assert_eq!(simple.pipeline_stats(), cached.pipeline_stats());
+        cached
     }
 
     fn prologue() -> Vec<Instr> {
