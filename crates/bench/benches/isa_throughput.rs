@@ -1,11 +1,11 @@
 //! Simulator throughput: `ExecMode::Simple` vs `ExecMode::BlockCached`
-//! (with and without superblock chaining) and serial vs pooled-parallel
-//! batch evaluation, in instructions/second on the deployed CNN workload
-//! (the program every Table-I / Fig. 5–7 measurement funnels through).
+//! and serial vs pooled-parallel batch evaluation, in instructions/second
+//! on the deployed CNN workload (the program every Table-I / Fig. 5–7
+//! measurement funnels through).
 //!
-//! Besides the criterion timings, the bench prints an explicit
-//! instructions-per-second summary (engine speedup under both memory
-//! models, chaining delta, parallel scaling), the Flat-vs-Maupiti
+//! The bench prints an explicit instructions-per-second summary (engine
+//! speedup under both memory models, fusion speedup, parallel scaling),
+//! the Flat-vs-Maupiti
 //! memory-hierarchy cycle delta with its stall breakdown, a trace-cache
 //! profile of the hottest superblocks (with the per-trace memory-stall
 //! column), and writes the numbers to `BENCH_isa.json` at the workspace
@@ -13,15 +13,15 @@
 //!
 //! `BENCH_SMOKE=1` (used by CI) shrinks every measurement window to a
 //! handful of iterations and skips the wall-clock assertions — the
-//! bit-identity checks across engines, memory models, chaining modes and
+//! bit-identity checks across engines, memory models, fusion on/off and
 //! thread counts still run, so engine regressions fail fast without
 //! timing noise.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use pcount_bench::demo_int8_model;
 use pcount_kernels::{hot_blocks_json, Deployment, ExecMode, MemoryModel, Target};
 use pcount_quant::QuantizedCnn;
 use pcount_tensor::Tensor;
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Worker threads used for the parallel-batch measurement.
@@ -42,19 +42,13 @@ fn measure_secs() -> f64 {
     }
 }
 
-fn deployment_with_mode(model: &QuantizedCnn, mode: ExecMode, chaining: bool) -> Deployment {
-    deployment_with(model, mode, chaining, MemoryModel::Flat)
+fn deployment_with_mode(model: &QuantizedCnn, mode: ExecMode) -> Deployment {
+    deployment_with(model, mode, MemoryModel::Flat)
 }
 
-fn deployment_with(
-    model: &QuantizedCnn,
-    mode: ExecMode,
-    chaining: bool,
-    mem: MemoryModel,
-) -> Deployment {
+fn deployment_with(model: &QuantizedCnn, mode: ExecMode, mem: MemoryModel) -> Deployment {
     let mut deployment = Deployment::new(model, Target::Maupiti).expect("deploy");
     deployment.set_exec_mode(mode);
-    deployment.set_superblock_chaining(chaining);
     deployment.set_memory_model(mem);
     deployment
 }
@@ -111,40 +105,35 @@ fn measure_batch_ips(deployment: &Deployment, batch: &Tensor, threads: usize) ->
 /// runs in smoke mode.
 fn check_bit_identity(model: &QuantizedCnn, batch: &Tensor) {
     let n = batch.shape()[0];
-    let simple = deployment_with_mode(model, ExecMode::Simple, true);
-    let chained = deployment_with_mode(model, ExecMode::BlockCached, true);
-    let unchained = deployment_with_mode(model, ExecMode::BlockCached, false);
-    let mut nofusion = deployment_with_mode(model, ExecMode::BlockCached, true);
+    let simple = deployment_with_mode(model, ExecMode::Simple);
+    let cached = deployment_with_mode(model, ExecMode::BlockCached);
+    let mut nofusion = deployment_with_mode(model, ExecMode::BlockCached);
     nofusion.set_macro_fusion(false);
     let mut maupiti_nofusion =
-        deployment_with(model, ExecMode::BlockCached, true, MemoryModel::maupiti());
+        deployment_with(model, ExecMode::BlockCached, MemoryModel::maupiti());
     maupiti_nofusion.set_macro_fusion(false);
     let serial: Vec<_> = (0..n)
         .map(|i| {
-            chained
+            cached
                 .run_frame(&batch.data()[i * 64..(i + 1) * 64])
                 .expect("serial frame")
         })
         .collect();
-    let pool = chained.make_pool(PARALLEL_THREADS).expect("pool");
-    let parallel = chained.run_batch(batch, &pool).expect("parallel batch");
+    let pool = cached.make_pool(PARALLEL_THREADS).expect("pool");
+    let parallel = cached.run_batch(batch, &pool).expect("parallel batch");
     assert_eq!(parallel, serial, "parallel batch must be bit-identical");
-    let maupiti_simple = deployment_with(model, ExecMode::Simple, true, MemoryModel::maupiti());
-    let maupiti_chained =
-        deployment_with(model, ExecMode::BlockCached, true, MemoryModel::maupiti());
+    let maupiti_simple = deployment_with(model, ExecMode::Simple, MemoryModel::maupiti());
+    let maupiti_cached = deployment_with(model, ExecMode::BlockCached, MemoryModel::maupiti());
     for (i, run) in serial.iter().enumerate() {
         let frame = &batch.data()[i * 64..(i + 1) * 64];
         let rs = simple.run_frame(frame).expect("simple frame");
-        let ru = unchained.run_frame(frame).expect("unchained frame");
         assert_eq!(*run, rs, "engines diverged (frame {i})");
-        assert_eq!(run.logits, ru.logits, "chaining changed logits (frame {i})");
-        assert_eq!(run.cycles, ru.cycles, "chaining changed cycle counts");
         // Flat is the default model and must stay free of memory stalls.
         assert_eq!(run.mem, Default::default(), "Flat charged stalls");
         // The Maupiti hierarchy keeps architectural results bit-identical,
         // charges strictly more cycles (exactly its stall breakdown), and
         // both engines agree on the whole run.
-        let rm = maupiti_chained.run_frame(frame).expect("maupiti frame");
+        let rm = maupiti_cached.run_frame(frame).expect("maupiti frame");
         let rms = maupiti_simple.run_frame(frame).expect("maupiti simple");
         assert_eq!(rm.logits, run.logits, "memory model changed logits");
         assert_eq!(rm.instructions, run.instructions);
@@ -152,8 +141,8 @@ fn check_bit_identity(model: &QuantizedCnn, batch: &Tensor) {
         assert!(rm.mem.fetch_misses > 0, "CNN branches must miss");
         assert_eq!(rm, rms, "engines diverged under the maupiti model");
         // Macro-op fusion must be invisible down to the stall breakdowns
-        // under both memory models (the chained/serial runs above all had
-        // fusion enabled — its default).
+        // under both memory models (the serial runs above all had fusion
+        // enabled — its default).
         let rnf = nofusion.run_frame(frame).expect("no-fusion frame");
         assert_eq!(*run, rnf, "macro-op fusion perturbed the run (frame {i})");
         let rmnf = maupiti_nofusion
@@ -180,7 +169,7 @@ fn write_bench_json(lines: &[(&str, String)]) {
     }
 }
 
-fn bench_engine_throughput(c: &mut Criterion) {
+fn main() {
     let smoke = smoke_mode();
     let (model, x) = demo_int8_model(7);
     let frame: Vec<f32> = x.data()[0..64].to_vec();
@@ -189,61 +178,38 @@ fn bench_engine_throughput(c: &mut Criterion) {
 
     check_bit_identity(&model, &batch);
 
-    if !smoke {
-        let mut group = c.benchmark_group("isa_throughput");
-        group.sample_size(10);
-        for (name, mode) in [
-            ("simple", ExecMode::Simple),
-            ("block_cached", ExecMode::BlockCached),
-        ] {
-            let deployment = deployment_with_mode(&model, mode, true);
-            group.bench_with_input(
-                BenchmarkId::new("cnn_inference", name),
-                &deployment,
-                |b, d| b.iter(|| d.run_frame(black_box(&frame)).expect("run")),
-            );
-        }
-        group.finish();
-    }
-
-    let simple = deployment_with_mode(&model, ExecMode::Simple, true);
-    let chained = deployment_with_mode(&model, ExecMode::BlockCached, true);
-    let unchained = deployment_with_mode(&model, ExecMode::BlockCached, false);
-    let mut nofusion = deployment_with_mode(&model, ExecMode::BlockCached, true);
+    let simple = deployment_with_mode(&model, ExecMode::Simple);
+    let cached = deployment_with_mode(&model, ExecMode::BlockCached);
+    let mut nofusion = deployment_with_mode(&model, ExecMode::BlockCached);
     nofusion.set_macro_fusion(false);
-    let maupiti_simple = deployment_with(&model, ExecMode::Simple, true, MemoryModel::maupiti());
-    let maupiti_chained =
-        deployment_with(&model, ExecMode::BlockCached, true, MemoryModel::maupiti());
+    let maupiti_simple = deployment_with(&model, ExecMode::Simple, MemoryModel::maupiti());
+    let maupiti_cached = deployment_with(&model, ExecMode::BlockCached, MemoryModel::maupiti());
     let ips_simple = measure_ips(&simple, &frame);
-    let ips_unchained = measure_ips(&unchained, &frame);
-    let ips_chained = measure_ips(&chained, &frame);
+    let ips_cached = measure_ips(&cached, &frame);
     let ips_nofusion = measure_ips(&nofusion, &frame);
     let ips_maupiti_simple = measure_ips(&maupiti_simple, &frame);
-    let ips_maupiti_chained = measure_ips(&maupiti_chained, &frame);
-    let ips_parallel = measure_batch_ips(&chained, &batch, PARALLEL_THREADS);
-    let speedup = ips_chained / ips_simple;
-    let speedup_maupiti = ips_maupiti_chained / ips_maupiti_simple;
-    let chaining_delta = ips_chained / ips_unchained;
-    let fusion_speedup = ips_chained / ips_nofusion;
-    let scaling = ips_parallel / ips_chained;
+    let ips_maupiti_cached = measure_ips(&maupiti_cached, &frame);
+    let ips_parallel = measure_batch_ips(&cached, &batch, PARALLEL_THREADS);
+    let speedup = ips_cached / ips_simple;
+    let speedup_maupiti = ips_maupiti_cached / ips_maupiti_simple;
+    let fusion_speedup = ips_cached / ips_nofusion;
+    let scaling = ips_parallel / ips_cached;
     let host_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
 
     // Flat-vs-Maupiti cycle delta of one inference: how much the modelled
     // memory hierarchy costs over the ideal memories of the flat model.
-    let run_flat = chained.run_frame(&frame).expect("flat run");
-    let run_maupiti = maupiti_chained.run_frame(&frame).expect("maupiti run");
+    let run_flat = cached.run_frame(&frame).expect("flat run");
+    let run_maupiti = maupiti_cached.run_frame(&frame).expect("maupiti run");
     let cycle_delta = run_maupiti.cycles as f64 / run_flat.cycles as f64;
 
     println!("isa_throughput summary (deployed CNN, MAUPITI target):");
     println!("  simple:                  {ips_simple:>10.2e} instructions/s");
-    println!("  block_cached (no chain): {ips_unchained:>10.2e} instructions/s");
-    println!("  block_cached (chained):  {ips_chained:>10.2e} instructions/s");
-    println!("  parallel x{PARALLEL_THREADS} (chained):   {ips_parallel:>10.2e} instructions/s");
+    println!("  block_cached:            {ips_cached:>10.2e} instructions/s");
+    println!("  parallel x{PARALLEL_THREADS}:             {ips_parallel:>10.2e} instructions/s");
     println!("  engine speedup:          {speedup:.2}x (acceptance target: >= 5x)");
     println!("  engine speedup (maupiti mem model): {speedup_maupiti:.2}x");
-    println!("  chaining delta:          {chaining_delta:.3}x single-thread");
     println!(
         "  fusion speedup:          {fusion_speedup:.3}x (macro-op fused loops vs per-instruction)"
     );
@@ -259,7 +225,7 @@ fn bench_engine_throughput(c: &mut Criterion) {
     );
 
     println!("hottest superblock traces (one inference, maupiti mem model):");
-    let hot_blocks = maupiti_chained.hottest_blocks(&frame, 8).expect("profile");
+    let hot_blocks = maupiti_cached.hottest_blocks(&frame, 8).expect("profile");
     for h in &hot_blocks {
         println!(
             "  pc {:#07x}: {:>9} executions, {:>10} instructions, {:>8} mem-stall cycles, fused {} ({} entries, {} iterations)",
@@ -274,7 +240,7 @@ fn bench_engine_throughput(c: &mut Criterion) {
     }
 
     // Per-pattern fusion hit counts over one inference.
-    let fusion_profile = chained.fusion_profile(&frame).expect("fusion profile");
+    let fusion_profile = cached.fusion_profile(&frame).expect("fusion profile");
     println!("macro-op fusion hits (one inference):");
     for (kind, entries, iterations) in &fusion_profile {
         println!("  {kind:>13}: {entries:>6} fused entries, {iterations:>8} loop iterations");
@@ -306,15 +272,14 @@ fn bench_engine_throughput(c: &mut Criterion) {
         ("host_threads", host_threads.to_string()),
         ("parallel_threads", PARALLEL_THREADS.to_string()),
         ("ips_simple", format!("{ips_simple:.3e}")),
-        ("ips_block_cached_unchained", format!("{ips_unchained:.3e}")),
-        ("ips_block_cached", format!("{ips_chained:.3e}")),
+        ("ips_block_cached", format!("{ips_cached:.3e}")),
         (
             "ips_simple_maupiti_mem",
             format!("{ips_maupiti_simple:.3e}"),
         ),
         (
             "ips_block_cached_maupiti_mem",
-            format!("{ips_maupiti_chained:.3e}"),
+            format!("{ips_maupiti_cached:.3e}"),
         ),
         ("ips_parallel", format!("{ips_parallel:.3e}")),
         ("engine_speedup", format!("{speedup:.3}")),
@@ -322,7 +287,6 @@ fn bench_engine_throughput(c: &mut Criterion) {
             "engine_speedup_maupiti_mem",
             format!("{speedup_maupiti:.3}"),
         ),
-        ("chaining_delta", format!("{chaining_delta:.3}")),
         ("ips_block_cached_nofusion", format!("{ips_nofusion:.3e}")),
         ("fusion_speedup", format!("{fusion_speedup:.3}")),
         ("fusion_hits", fusion_hits_json),
@@ -364,21 +328,6 @@ fn bench_engine_throughput(c: &mut Criterion) {
         "block-cached engine under the maupiti memory model regressed to \
          {speedup_maupiti:.2}x the reference interpreter"
     );
-    // On the deployed CNN the dispatch memo and self-loop fast path
-    // already cover most dispatches, so the chaining delta hovers around
-    // 1.0x (it pays off on workloads that ping-pong between traces); the
-    // floor guards against chaining ever *costing* throughput, with
-    // headroom for wall-clock noise. Measured history: the delta once
-    // read 0.970 because every chained transition paid a
-    // `Weak::upgrade` (a CAS loop) where the unchained path paid only a
-    // direct-indexed snapshot probe; `chain_to!` now probes the local
-    // snapshot first and upgrades the cached link only when the snapshot
-    // is stale (the cross-thread case chaining exists for), which put
-    // the single-thread delta back at ~1.0.
-    assert!(
-        chaining_delta >= 0.9,
-        "superblock chaining regressed single-thread throughput to {chaining_delta:.3}x"
-    );
     // Macro-op fusion exists to be a perf win: the fused MAC/memset/copy
     // loops must beat per-instruction dispatch by a clear margin on the
     // deployed CNN. Measured well above 1.5x on an idle host; the floor
@@ -396,6 +345,3 @@ fn bench_engine_throughput(c: &mut Criterion) {
         );
     }
 }
-
-criterion_group!(benches, bench_engine_throughput);
-criterion_main!(benches);

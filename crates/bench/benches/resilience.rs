@@ -2,9 +2,8 @@
 //! streaming deployment, written to `BENCH_robust.json` at the workspace
 //! root so the robustness trajectory stays machine-readable across PRs.
 //!
-//! Besides the criterion timing of the supervised stream against the
-//! plain pooled batch, the bench runs the timing-independent chaos
-//! tripwires in every mode (including `BENCH_SMOKE=1`):
+//! The bench runs the timing-independent chaos tripwires in every mode
+//! (including `BENCH_SMOKE=1`):
 //!
 //! * zero-intensity supervision is bit-identical to the plain
 //!   [`Deployment`] (logits, cycles, instret);
@@ -13,7 +12,6 @@
 //! * every swept stream completes with fallbacks/holds instead of
 //!   aborting, and the end-to-end accuracy degrades boundedly.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pcount_dataset::{DatasetConfig, IrDataset};
 use pcount_kernels::{Deployment, Target};
 use pcount_resilience::{
@@ -83,7 +81,7 @@ fn write_bench_json(lines: &[(&str, String)]) {
     }
 }
 
-fn bench_resilience(c: &mut Criterion) {
+fn main() {
     let smoke = smoke_mode();
     let n = if smoke { 16 } else { 48 };
     let (deployment, frames, labels) = deployed_stream(n);
@@ -179,31 +177,4 @@ fn bench_resilience(c: &mut Criterion) {
         ("fault_seed", FAULT_SEED.to_string()),
         ("robustness", json),
     ]);
-
-    if smoke {
-        println!("BENCH_SMOKE=1: criterion timing skipped");
-        return;
-    }
-    let supervised = ResilientDeployment::new(deployment.clone(), ResilienceConfig::default());
-    let faulted = FaultPlan::new(FAULT_SEED, FaultConfig::uniform(0.1)).inject(&frames);
-    let pool = deployment.make_pool(POOL_THREADS).expect("pool");
-    let mut group = c.benchmark_group("resilience");
-    group.sample_size(10);
-    group.bench_function("plain_batch", |b| {
-        b.iter(|| {
-            deployment
-                .run_batch(black_box(&frames), &pool)
-                .expect("batch")
-        })
-    });
-    group.bench_function("supervised_stream_intensity_0.1", |b| {
-        b.iter(|| {
-            let mut pool = deployment.make_pool(POOL_THREADS).expect("pool");
-            black_box(supervised.run_stream(black_box(&faulted), &mut pool))
-        })
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench_resilience);
-criterion_main!(benches);

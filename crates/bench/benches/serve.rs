@@ -4,9 +4,8 @@
 //! queue depths, shed/quarantine counts, per-shard error-budget burn)
 //! stays machine-readable across PRs.
 //!
-//! Besides the criterion timing of one full fleet run, the bench runs
-//! the timing-independent serve tripwires in every mode (including
-//! `BENCH_SMOKE=1`):
+//! The bench runs the timing-independent serve tripwires in every mode
+//! (including `BENCH_SMOKE=1`):
 //!
 //! * a ≥200-node fleet run completes with every delivery slot disposed
 //!   of exactly once — no node fault ever aborts the service;
@@ -22,7 +21,6 @@
 //!   hardest ramp level: fewer frames shed at the queue with p99 latency
 //!   inside the static envelope.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pcount_dataset::{DatasetConfig, IrDataset};
 use pcount_fleet::{
     AdaptiveConfig, CrashConfig, FleetConfig, FleetReport, FleetService, StormConfig,
@@ -123,7 +121,7 @@ fn write_bench_json(lines: &[(&str, String)]) {
     }
 }
 
-fn bench_serve(c: &mut Criterion) {
+fn main() {
     let smoke = smoke_mode();
     let (deployment, data) = deployed();
 
@@ -344,22 +342,4 @@ fn bench_serve(c: &mut Criterion) {
             ),
         ),
     ]);
-
-    if smoke {
-        println!("BENCH_SMOKE=1: criterion timing skipped");
-        return;
-    }
-    let svc = FleetService::new(deployment.clone(), base_cfg(false), &data).expect("fleet");
-    let mut group = c.benchmark_group("serve");
-    group.sample_size(10);
-    group.bench_function("fleet_run_240_nodes", |b| {
-        b.iter(|| {
-            let mut pool = svc.make_pool(POOL_THREADS).expect("pool");
-            black_box(svc.run(&mut pool))
-        })
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench_serve);
-criterion_main!(benches);

@@ -4,7 +4,7 @@
 //! `pcount-runtime` worker pool, and serial vs parallel per-fold NAS
 //! training wall-clock through `pcount_core::FoldTrainJob`.
 //!
-//! Besides the criterion timings, the bench prints an explicit summary
+//! The bench prints an explicit summary
 //! (conv speedup vs the 3x acceptance target, GEMM parallel scaling vs
 //! the 1.7x 4-thread floor, fold-scaling efficiency vs the 0.7 target
 //! on 4-core-or-wider hosts) and writes the numbers to `BENCH_train.json` at the
@@ -17,7 +17,6 @@
 //! determinism check still run in full, so training engine regressions
 //! fail fast without timing noise.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use pcount_core::FoldTrainJob;
 use pcount_dataset::{DatasetConfig, IrDataset};
 use pcount_nn::{CnnConfig, Conv2d, Layer, TrainConfig};
@@ -26,6 +25,7 @@ use pcount_runtime::{install, Pool};
 use pcount_tensor::{gemm, gemm_splits_columns, GemmScratch, SplitMix64, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Worker threads used for the parallel-fold measurement.
@@ -324,31 +324,13 @@ fn write_bench_json(lines: &[(&str, String)]) {
     }
 }
 
-fn bench_train_throughput(c: &mut Criterion) {
+fn main() {
     let smoke = smoke_mode();
 
     check_conv_equivalence();
     check_fold_determinism();
     let gemm_workload = GemmWorkload::new(13);
     let gemm_bit_identical = check_gemm_parallel_bit_identity(&gemm_workload);
-
-    if !smoke {
-        let mut group = c.benchmark_group("train_throughput");
-        group.sample_size(10);
-        for name in ["gemm", "naive"] {
-            group.bench_with_input(BenchmarkId::new("conv_fwd_bwd", name), &name, |b, &name| {
-                let mut w = ConvWorkload::new(3);
-                b.iter(|| {
-                    if name == "gemm" {
-                        w.step_gemm()
-                    } else {
-                        w.step_naive()
-                    }
-                })
-            });
-        }
-        group.finish();
-    }
 
     // --- GEMM vs naive conv images/s ------------------------------------
     let mut w = ConvWorkload::new(3);
@@ -484,6 +466,3 @@ fn bench_train_throughput(c: &mut Criterion) {
         );
     }
 }
-
-criterion_group!(benches, bench_train_throughput);
-criterion_main!(benches);

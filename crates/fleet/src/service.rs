@@ -1105,32 +1105,12 @@ impl FleetService {
         exec_list: &[usize],
         pool: &mut CpuPool,
     ) -> Vec<AttemptOutcome> {
-        let m = exec_list.len();
-        if m == 0 {
-            return Vec::new();
-        }
-        let mut out: Vec<Option<AttemptOutcome>> = (0..m).map(|_| None).collect();
-        let (base, cpus) = pool.split_mut();
-        let workers = cpus.len().max(1);
-        let chunk = m.div_ceil(workers);
-        let slots = pcount_runtime::SendPtr::new(out.as_mut_ptr());
-        pcount_runtime::current().par_chunks_mut(cpus, 1, 0, |w, cpu_slot| {
-            let cpu = &mut cpu_slot[0];
-            let hi = ((w + 1) * chunk).min(m);
-            for k in (w * chunk)..hi {
-                let p = &planned[exec_list[k]];
-                let tick = &self.nodes[p.msg.node].stream.ticks[p.msg.seq];
-                let frame = tick.frame.as_deref().expect("executed ticks carry data");
-                let outcome = self.supervised.attempt_frame(cpu, base, frame, tick.stall);
-                // SAFETY: worker ranges are disjoint by construction, so
-                // every slot has exactly one writer, and `out` is not
-                // read until the pool group completes.
-                unsafe { *slots.ptr().add(k) = Some(outcome) };
-            }
-        });
-        out.into_iter()
-            .map(|slot| slot.expect("every exec slot ran"))
-            .collect()
+        pool.map(exec_list.len(), |k, cpu, base| {
+            let p = &planned[exec_list[k]];
+            let tick = &self.nodes[p.msg.node].stream.ticks[p.msg.seq];
+            let frame = tick.frame.as_deref().expect("executed ticks carry data");
+            self.supervised.attempt_frame(cpu, base, frame, tick.stall)
+        })
     }
 
     /// Phase 3 (serial): replay outcomes in arrival order through the

@@ -157,9 +157,6 @@ pub struct Cpu {
     /// Instructions retired through each slot's exits (see
     /// [`Cpu::hottest_blocks`]).
     pub(crate) block_instr_counts: Vec<u64>,
-    /// Whether side exits chain to their successor trace (see
-    /// [`Cpu::set_superblock_chaining`]).
-    pub(crate) chain_enabled: bool,
     /// The memory-hierarchy model fetches and data accesses are charged
     /// through (see [`Cpu::set_memory_model`]).
     mem_model: MemoryModel,
@@ -290,7 +287,6 @@ impl Cpu {
             touched_slots: Vec::new(),
             block_exec_counts: Vec::new(),
             block_instr_counts: Vec::new(),
-            chain_enabled: true,
             mem_model: MemoryModel::Flat,
             mem_state: MemModelState::default(),
             mem_stats: MemStats::default(),
@@ -387,20 +383,6 @@ impl Cpu {
         self.cache.len()
     }
 
-    /// Whether block-cached side exits chain to their successor trace
-    /// (enabled by default).
-    pub fn superblock_chaining(&self) -> bool {
-        self.chain_enabled
-    }
-
-    /// Enables or disables superblock chaining. Architectural results are
-    /// identical either way — chaining only removes dispatch-table probes
-    /// on branchy code; the throughput bench flips this to measure the
-    /// chaining delta.
-    pub fn set_superblock_chaining(&mut self, enabled: bool) {
-        self.chain_enabled = enabled;
-    }
-
     /// Whether the block-cached engine executes recognised loop idioms
     /// (SDOTP MAC reductions, memset, memcpy, strided copies) as fused
     /// host loops (enabled by default).
@@ -416,12 +398,6 @@ impl Cpu {
     /// the fusion speedup.
     pub fn set_macro_fusion(&mut self, enabled: bool) {
         self.fusion_enabled = enabled;
-    }
-
-    /// Builder-style variant of [`Cpu::set_macro_fusion`].
-    pub fn with_macro_fusion(mut self, enabled: bool) -> Self {
-        self.set_macro_fusion(enabled);
-        self
     }
 
     /// The `n` hottest superblock traces executed by this CPU under
@@ -557,7 +533,6 @@ impl Cpu {
         self.instret = base.instret;
         self.trace = base.trace.clone();
         self.mode = base.mode;
-        self.chain_enabled = base.chain_enabled;
         self.fusion_enabled = base.fusion_enabled;
         self.mem_model = base.mem_model;
         self.mem_state = base.mem_state;

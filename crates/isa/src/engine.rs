@@ -34,13 +34,6 @@
 //! pre-decoded code. Loading a new program image swaps in a fresh cache,
 //! so clones diverging by program never see each other's blocks.
 //!
-//! Side exits additionally *chain*: the first taken execution of a side
-//! exit resolves its (static) target trace and caches the link on the
-//! block ([`Block::chain`]), so branchy code that ping-pongs between
-//! traces re-enters the dispatch memo directly instead of probing the
-//! cache table. [`Cpu::set_superblock_chaining`] disables this (used by
-//! the throughput bench to measure the chaining delta).
-//!
 //! The engines differ only in speed: architectural results (registers,
 //! memory, instruction counts, trace, faults), cycles and stall counters
 //! are identical to [`ExecMode::Simple`] — the differential tests below
@@ -55,7 +48,7 @@ use crate::instr::Op;
 use crate::mem_model::{MemStats, MemoryModel};
 use crate::memory::{Memory, IMEM_BASE};
 use crate::pipeline::Pipeline;
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex};
 
 /// Which execution engine a [`Cpu`] uses in [`Cpu::run`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -63,8 +56,8 @@ pub enum ExecMode {
     /// Reference interpreter: fetch + decode + execute every instruction.
     #[default]
     Simple,
-    /// Pre-decoded superblock cache with chaining and macro-op fusion:
-    /// the same results and timing as `Simple`, several times faster.
+    /// Pre-decoded superblock cache with macro-op fusion: the same
+    /// results and timing as `Simple`, several times faster.
     BlockCached,
 }
 
@@ -117,24 +110,6 @@ impl BlockCache {
             .count()
     }
 
-    /// Probes this CPU's local snapshot for the block entered at `pc`
-    /// without building or touching the publish lock: a bounds-checked
-    /// direct index, the cheapest possible dispatch. `None` means the
-    /// local snapshot does not know the block (unmapped pc, or published
-    /// only by a sibling since the last refresh).
-    #[inline]
-    fn get_local(&self, pc: u32) -> Option<(usize, Arc<Block>)> {
-        let off = pc.checked_sub(IMEM_BASE)? as usize;
-        if !off.is_multiple_of(4) {
-            return None;
-        }
-        let index = off / 4;
-        self.local
-            .get(index)?
-            .as_ref()
-            .map(|block| (index, Arc::clone(block)))
-    }
-
     /// Returns the slot index and block entered at `pc`, building and
     /// publishing the block on miss. `None` means `pc` cannot index
     /// instruction memory at all.
@@ -176,17 +151,10 @@ impl BlockCache {
         Some((index, block))
     }
 
-    /// The block cached in `slot`, if any, refreshing the local snapshot
-    /// when the slot was published by a sibling (e.g. a block only ever
-    /// reached through a chained side exit set by another thread).
-    fn cached(&mut self, slot: usize) -> Option<Arc<Block>> {
-        if let Some(block) = self.local.get(slot)?.as_ref() {
-            return Some(Arc::clone(block));
-        }
-        let published = self.published.lock().expect("block cache lock");
-        if !Arc::ptr_eq(&published, &self.local) {
-            self.local = Arc::clone(&published);
-        }
+    /// The block cached in `slot` of this CPU's local snapshot. Every slot
+    /// a run executes came through [`BlockCache::get_or_build`], which
+    /// leaves its block in the local snapshot.
+    fn cached(&self, slot: usize) -> Option<Arc<Block>> {
         self.local.get(slot)?.as_ref().map(Arc::clone)
     }
 }
@@ -195,7 +163,7 @@ impl BlockCache {
 pub(crate) fn run(cpu: &mut Cpu, max_instructions: u64) -> Result<RunSummary, SimError> {
     let start_instret = cpu.instret;
     let start_cycles = cpu.cycles;
-    let result = run_inner(cpu, start_instret, max_instructions);
+    let result = run_inner(cpu, max_instructions);
     fold_exec_counts(cpu);
     result?;
     Ok(RunSummary {
@@ -204,19 +172,17 @@ pub(crate) fn run(cpu: &mut Cpu, max_instructions: u64) -> Result<RunSummary, Si
     })
 }
 
-fn run_inner(cpu: &mut Cpu, _start_instret: u64, max_instructions: u64) -> Result<(), SimError> {
+fn run_inner(cpu: &mut Cpu, max_instructions: u64) -> Result<(), SimError> {
     // All per-instruction accounting lives in locals for the whole run and
     // is committed to the CPU exactly once on exit (including error exits),
     // so the dispatch loop does no redundant memory traffic.
     let mut executed = 0u64;
     let mut cycles = 0u64;
     let mut pipe = cpu.pipeline;
-    // One-entry dispatch memo: loop back-edges re-enter the same trace and
-    // chained side exits pre-fill it, so the common case is a single PC
-    // compare instead of a cache probe.
+    // One-entry dispatch memo: loop back-edges re-enter the same trace, so
+    // the common case is a single PC compare instead of a cache probe.
     let mut memo: Option<(u32, usize, Arc<Block>)> = None;
     let mut fault: Option<SimError> = None;
-    let chaining = cpu.chain_enabled;
     let fusion = cpu.fusion_enabled;
     // Memory-hierarchy model: `None` for the flat (free) model, so the
     // dispatch loop pays one branch per trace execution. Under the
@@ -284,37 +250,6 @@ fn run_inner(cpu: &mut Cpu, _start_instret: u64, max_instructions: u64) -> Resul
             // by construction).
             cpu.regs[$d.rd as usize & 31] = $v;
             cpu.regs[0] = 0;
-        }};
-    }
-
-    // Superblock chaining: resolve the (static) exit target, cache the
-    // link on the exit's `Block::chain` slot, and pre-fill the dispatch
-    // memo so the next iteration skips the cache probe. The hot path
-    // probes the local snapshot first — a bounds-checked direct index,
-    // the same cost as the unchained dispatch probe; `Weak::upgrade`
-    // (a CAS loop on the refcounts) used to run on *every* chained
-    // transition and measurably cost single-thread throughput
-    // (`chaining_delta` 0.970 in BENCH_isa.json before this reorder).
-    // The cached link now only pays its upgrade when the local snapshot
-    // is stale, i.e. the target was published by a sibling CPU on
-    // another thread — the case chaining exists for. A dead link (cache
-    // generation gone) falls back to the ordinary build path. Shared by
-    // side exits and chainable end exits (fall-through and static-JAL
-    // ends).
-    macro_rules! chain_to {
-        ($block:expr, $ordinal:expr, $target:expr) => {{
-            if let Some((next_slot, next)) = cpu.cache.get_local($target) {
-                memo = Some(($target, next_slot, next));
-            } else {
-                let link = &$block.chain[$ordinal];
-                if let Some(next) = link.get().and_then(Weak::upgrade) {
-                    let next_slot = (next.entry_pc - IMEM_BASE) as usize / 4;
-                    memo = Some(($target, next_slot, next));
-                } else if let Some((next_slot, next)) = cpu.cache.get_or_build(&cpu.mem, $target) {
-                    let _ = link.set(Arc::downgrade(&next));
-                    memo = Some(($target, next_slot, next));
-                }
-            }
         }};
     }
 
@@ -616,10 +551,6 @@ fn run_inner(cpu: &mut Cpu, _start_instret: u64, max_instructions: u64) -> Resul
                     continue;
                 }
                 cpu.pc = ctrl_next;
-                // Side-exit targets are always static.
-                if chaining {
-                    chain_to!(block, ordinal as usize, ctrl_next);
-                }
                 continue 'dispatch;
             }
 
@@ -813,12 +744,6 @@ fn run_inner(cpu: &mut Cpu, _start_instret: u64, max_instructions: u64) -> Resul
                     break 'dispatch;
                 }
             }
-            // End-exit chaining: fall-through and static-JAL ends leave
-            // for a fixed successor, so they carry a cached link exactly
-            // like side exits; dynamic ends (JALR) and halts do not.
-            if chaining && block.end_chainable && !cpu.halted {
-                chain_to!(block, end_exit, ctrl_next);
-            }
             continue 'dispatch;
         }
     }
@@ -840,56 +765,53 @@ fn run_inner(cpu: &mut Cpu, _start_instret: u64, max_instructions: u64) -> Resul
 fn fold_exec_counts(cpu: &mut Cpu) {
     while let Some(slot) = cpu.touched_slots.pop() {
         cpu.touched_flags[slot] = false;
-        if let Some(block) = cpu.cache.cached(slot) {
-            let mut execs = 0u64;
-            let mut instrs = 0u64;
-            for (exit, count) in block
-                .exits
-                .iter()
-                .zip(cpu.block_exit_counts[slot].iter_mut())
-            {
-                if *count > 0 {
-                    execs += *count;
-                    instrs += *count * exit.retired as u64;
-                    for &(mnemonic, per_exec) in &exit.counts {
-                        cpu.trace.record_many(mnemonic, per_exec * *count);
-                    }
-                    *count = 0;
+        let block = cpu
+            .cache
+            .cached(slot)
+            .expect("an executed slot is in the local snapshot");
+        let mut execs = 0u64;
+        let mut instrs = 0u64;
+        for (exit, count) in block
+            .exits
+            .iter()
+            .zip(cpu.block_exit_counts[slot].iter_mut())
+        {
+            if *count > 0 {
+                execs += *count;
+                instrs += *count * exit.retired as u64;
+                for &(mnemonic, per_exec) in &exit.counts {
+                    cpu.trace.record_many(mnemonic, per_exec * *count);
                 }
-            }
-            cpu.block_exec_counts[slot] += execs;
-            cpu.block_instr_counts[slot] += instrs;
-            let bulk = std::mem::take(&mut cpu.block_fused_bulk[slot]);
-            if bulk.plain > 0 {
-                let f = block
-                    .fused
-                    .as_ref()
-                    .expect("bulk iterations imply a fused loop");
-                for d in &block.instrs[f.start..f.start + f.body_len] {
-                    cpu.trace.record_many(d.mnemonic(), bulk.plain);
-                }
-            }
-            if bulk.nest.iter().any(|&n| n > 0) {
-                let f = block.fused.as_ref().expect("nest counts imply a nest");
-                let s = f.start;
-                for (j, d) in block.instrs[s..s + NEST_LEN].iter().enumerate() {
-                    // Per-position multiset of the executed paths.
-                    let count: u64 = NEST_PATHS
-                        .iter()
-                        .zip(bulk.nest)
-                        .filter(|(path, _)| path.retires(j))
-                        .map(|(_, n)| n)
-                        .sum();
-                    if count > 0 {
-                        cpu.trace.record_many(d.mnemonic(), count);
-                    }
-                }
-            }
-        } else {
-            for count in cpu.block_exit_counts[slot].iter_mut() {
                 *count = 0;
             }
-            cpu.block_fused_bulk[slot] = crate::cpu::FusedBulk::default();
+        }
+        cpu.block_exec_counts[slot] += execs;
+        cpu.block_instr_counts[slot] += instrs;
+        let bulk = std::mem::take(&mut cpu.block_fused_bulk[slot]);
+        if bulk.plain > 0 {
+            let f = block
+                .fused
+                .as_ref()
+                .expect("bulk iterations imply a fused loop");
+            for d in &block.instrs[f.start..f.start + f.body_len] {
+                cpu.trace.record_many(d.mnemonic(), bulk.plain);
+            }
+        }
+        if bulk.nest.iter().any(|&n| n > 0) {
+            let f = block.fused.as_ref().expect("nest counts imply a nest");
+            let s = f.start;
+            for (j, d) in block.instrs[s..s + NEST_LEN].iter().enumerate() {
+                // Per-position multiset of the executed paths.
+                let count: u64 = NEST_PATHS
+                    .iter()
+                    .zip(bulk.nest)
+                    .filter(|(path, _)| path.retires(j))
+                    .map(|(_, n)| n)
+                    .sum();
+                if count > 0 {
+                    cpu.trace.record_many(d.mnemonic(), count);
+                }
+            }
         }
     }
 }
@@ -1554,9 +1476,9 @@ mod tests {
     }
 
     #[test]
-    fn chaining_disabled_matches_chaining_enabled_exactly() {
-        // Nested loops with multiple traces, so side exits chain between
-        // distinct blocks in the chained run.
+    fn nested_loops_across_traces_match_simple_mode_exactly() {
+        // Nested loops with multiple traces, so side exits leave for
+        // distinct blocks.
         let program = [
             Instr::Addi {
                 rd: reg::T0,
@@ -1597,28 +1519,22 @@ mod tests {
             },
             Instr::Ebreak,
         ];
-        let mut chained = Cpu::new_default().with_exec_mode(ExecMode::BlockCached);
-        chained.load_program(&program).unwrap();
-        assert!(chained.superblock_chaining(), "chaining defaults on");
-        let mut unchained = Cpu::new_default().with_exec_mode(ExecMode::BlockCached);
-        unchained.set_superblock_chaining(false);
-        unchained.load_program(&program).unwrap();
-        let rc = chained.run(100_000).unwrap();
-        let ru = unchained.run(100_000).unwrap();
-        assert_eq!(rc, ru, "summaries must be identical");
-        assert_same_architectural_state(&chained, &unchained);
-        assert_eq!(chained.cycles, unchained.cycles);
+        let (mut simple, mut cached) = cpu_pair(&program);
+        let rs = simple.run(100_000).unwrap();
+        let rc = cached.run(100_000).unwrap();
+        assert_eq!(rs, rc, "summaries must be identical");
+        assert_same_architectural_state(&simple, &cached);
+        assert!(cached.cached_blocks() >= 2, "distinct traces expected");
     }
 
     #[test]
-    fn end_exit_chaining_is_bit_identical_to_unchained_execution() {
-        // One program exercising both chainable end-exit kinds:
+    fn fallthrough_and_static_jal_end_exits_match_simple_mode() {
+        // One program exercising both static end-exit kinds:
         //  * a straight-line run longer than MAX_BLOCK_LEN, so the first
-        //    trace ends with BlockEnd::Fallthrough and chains to its
-        //    continuation;
+        //    trace ends with BlockEnd::Fallthrough and continues in a
+        //    second trace;
         //  * a backward JAL into the trace's own entry, which ends the
-        //    trace with a static unfollowed JAL that chains to the loop
-        //    head.
+        //    trace with a static unfollowed JAL back to the loop head.
         use crate::block::MAX_BLOCK_LEN;
         let body = MAX_BLOCK_LEN + 40; // splits into two traces
         let mut program = vec![Instr::Addi {
@@ -1653,36 +1569,24 @@ mod tests {
         });
         program.push(Instr::Ebreak);
 
-        let mut simple = Cpu::new_default();
-        simple.load_program(&program).unwrap();
-        let mut chained = Cpu::new_default().with_exec_mode(ExecMode::BlockCached);
-        chained.load_program(&program).unwrap();
-        let mut unchained = Cpu::new_default().with_exec_mode(ExecMode::BlockCached);
-        unchained.set_superblock_chaining(false);
-        unchained.load_program(&program).unwrap();
-
+        let (mut simple, mut cached) = cpu_pair(&program);
         let budget = 200_000;
         let rs = simple.run(budget).unwrap();
-        let rc = chained.run(budget).unwrap();
-        let ru = unchained.run(budget).unwrap();
-        assert_eq!(rc, ru, "summaries must be identical");
-        assert_same_architectural_state(&chained, &unchained);
-        assert_same_architectural_state(&simple, &chained);
-        assert_eq!(chained.cycles, unchained.cycles, "cycles must not move");
-        assert_eq!(rs.instructions, rc.instructions);
-        assert_eq!(chained.reg(reg::A0), 25 * body as u32);
+        let rc = cached.run(budget).unwrap();
+        assert_same_architectural_state(&simple, &cached);
+        assert_eq!(rs, rc);
+        assert_eq!(cached.reg(reg::A0), 25 * body as u32);
         // The straight-line body really did split: more than one trace.
-        assert!(chained.cached_blocks() >= 2, "fallthrough split expected");
+        assert!(cached.cached_blocks() >= 2, "fallthrough split expected");
     }
 
     #[test]
     fn static_jal_end_exit_chains_between_distinct_traces() {
         // The entry trace runs into the loop and ends with an *unfollowed*
         // static JAL (its target is already inside the trace), whose end
-        // exit chains to the loop-head trace — a distinct block, so the
-        // self-loop fast path does not swallow the link. Results must be
-        // bit-identical with chaining off and against the reference
-        // interpreter.
+        // exit leaves for the loop-head trace — a distinct block, so the
+        // self-loop fast path does not take it. Results must be
+        // bit-identical to the reference interpreter.
         let program = [
             Instr::Addi {
                 rd: reg::T0,
@@ -1718,21 +1622,14 @@ mod tests {
             },
             Instr::Ebreak,
         ];
-        let (mut simple, mut chained) = cpu_pair(&program);
-        let mut unchained = Cpu::new_default().with_exec_mode(ExecMode::BlockCached);
-        unchained.set_superblock_chaining(false);
-        unchained.load_program(&program).unwrap();
+        let (mut simple, mut cached) = cpu_pair(&program);
         let rs = simple.run(10_000).unwrap();
-        let rc = chained.run(10_000).unwrap();
-        let ru = unchained.run(10_000).unwrap();
-        assert_eq!(rc, ru, "summaries must be identical");
-        assert_same_architectural_state(&simple, &chained);
-        assert_same_architectural_state(&chained, &unchained);
-        assert_eq!(chained.cycles, unchained.cycles);
-        assert_eq!(rs.instructions, rc.instructions);
-        assert_eq!(chained.reg(reg::A0), 25);
-        assert_eq!(chained.reg(reg::A1), 24);
-        assert!(chained.cached_blocks() >= 2, "two distinct traces expected");
+        let rc = cached.run(10_000).unwrap();
+        assert_same_architectural_state(&simple, &cached);
+        assert_eq!(rs, rc);
+        assert_eq!(cached.reg(reg::A0), 25);
+        assert_eq!(cached.reg(reg::A1), 24);
+        assert!(cached.cached_blocks() >= 2, "two distinct traces expected");
     }
 
     #[test]

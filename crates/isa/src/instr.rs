@@ -396,11 +396,6 @@ impl Instr {
         }
     }
 
-    /// Returns `true` for the SDOTP extension instructions.
-    pub fn is_sdotp(self) -> bool {
-        matches!(self, Instr::Sdotp8 { .. } | Instr::Sdotp4 { .. })
-    }
-
     /// Short mnemonic for tracing.
     pub fn mnemonic(self) -> &'static str {
         use Instr::*;

@@ -17,8 +17,8 @@
 //!   (load-use interlock and branch-flush stall accounting via
 //!   [`PipelineStats`]) and two engines selected by [`ExecMode`] that
 //!   differ only in speed: the `Simple` reference interpreter, and the
-//!   `BlockCached` superblock-trace engine with side-exit chaining,
-//!   macro-op fusion and a per-block execution profile
+//!   `BlockCached` superblock-trace engine with macro-op fusion and a
+//!   per-block execution profile
 //!   ([`Cpu::hottest_blocks`]) that runs the deployed CNN workloads
 //!   several times faster. The decoded blocks are shared `Arc`
 //!   snapshots, so `Cpu` is `Send` and a warmed CPU clones across

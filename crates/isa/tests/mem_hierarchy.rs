@@ -1,8 +1,7 @@
 //! Differential and property tests of the memory-hierarchy cost seam.
 //!
 //! * `MemoryModel::Flat` must reproduce the ideal-memory cycle counts
-//!   bit-identically (it charges nothing), in every engine / chaining
-//!   combination.
+//!   bit-identically (it charges nothing), in both engines.
 //! * `MemoryModel::Maupiti` is defined over the retired instruction
 //!   stream, so the reference interpreter's per-instruction stepping and
 //!   the block-cached engine's per-trace summaries must produce identical
@@ -19,11 +18,10 @@ use pcount_isa::{
 use proptest::prelude::*;
 
 /// Builds a CPU in the given mode/model, loads `program` and runs it.
-fn run(program: &[Instr], mode: ExecMode, model: MemoryModel, chaining: bool) -> Cpu {
+fn run(program: &[Instr], mode: ExecMode, model: MemoryModel) -> Cpu {
     let mut cpu = Cpu::new_default()
         .with_exec_mode(mode)
         .with_memory_model(model);
-    cpu.set_superblock_chaining(chaining);
     cpu.load_program(program).unwrap();
     cpu.run(100_000).unwrap();
     cpu
@@ -117,20 +115,17 @@ fn choices_strategy() -> impl Strategy<Value = Vec<(u8, u8, u8, u8)>> {
 
 proptest! {
     #[test]
-    fn maupiti_stats_are_identical_across_engines_and_chaining(
+    fn maupiti_stats_are_identical_across_engines(
         choices in choices_strategy(),
     ) {
         let prog = program(&choices, true);
         let model = MemoryModel::maupiti();
-        let simple = run(&prog, ExecMode::Simple, model, true);
-        let chained = run(&prog, ExecMode::BlockCached, model, true);
-        let unchained = run(&prog, ExecMode::BlockCached, model, false);
-        for cached in [&chained, &unchained] {
-            prop_assert_eq!(simple.instret, cached.instret);
-            prop_assert_eq!(simple.cycles, cached.cycles);
-            prop_assert_eq!(simple.pipeline_stats(), cached.pipeline_stats());
-            prop_assert_eq!(simple.mem_stats(), cached.mem_stats());
-        }
+        let simple = run(&prog, ExecMode::Simple, model);
+        let cached = run(&prog, ExecMode::BlockCached, model);
+        prop_assert_eq!(simple.instret, cached.instret);
+        prop_assert_eq!(simple.cycles, cached.cycles);
+        prop_assert_eq!(simple.pipeline_stats(), cached.pipeline_stats());
+        prop_assert_eq!(simple.mem_stats(), cached.mem_stats());
     }
 
     #[test]
@@ -139,8 +134,8 @@ proptest! {
     ) {
         let prog = program(&choices, true);
         for mode in [ExecMode::Simple, ExecMode::BlockCached] {
-            let flat = run(&prog, mode, MemoryModel::Flat, true);
-            let maupiti = run(&prog, mode, MemoryModel::maupiti(), true);
+            let flat = run(&prog, mode, MemoryModel::Flat);
+            let maupiti = run(&prog, mode, MemoryModel::maupiti());
             prop_assert_eq!(flat.mem_stats(), Default::default());
             prop_assert_eq!(flat.instret, maupiti.instret);
             prop_assert_eq!(
@@ -162,25 +157,21 @@ proptest! {
             refill_cycles: refill,
             contention_cycles: contention,
         };
-        let base = run(&prog, ExecMode::BlockCached, MemoryModel::Maupiti(cfg), true);
+        let base = run(&prog, ExecMode::BlockCached, MemoryModel::Maupiti(cfg));
         let slower_refill = run(
             &prog,
             ExecMode::BlockCached,
             MemoryModel::Maupiti(MaupitiMemConfig {
                 refill_cycles: refill + 1,
                 ..cfg
-            }),
-            true,
-        );
+            }));
         let slower_port = run(
             &prog,
             ExecMode::BlockCached,
             MemoryModel::Maupiti(MaupitiMemConfig {
                 contention_cycles: contention + 1,
                 ..cfg
-            }),
-            true,
-        );
+            }));
         // The event counts depend only on the prefetch depth, so raising a
         // latency scales its stall component exactly linearly (and hence
         // monotonically).
@@ -210,8 +201,8 @@ proptest! {
         // and never misses, so Maupiti must charge nothing at all.
         let prog = program(&choices, false);
         for mode in [ExecMode::Simple, ExecMode::BlockCached] {
-            let flat = run(&prog, mode, MemoryModel::Flat, true);
-            let maupiti = run(&prog, mode, MemoryModel::maupiti(), true);
+            let flat = run(&prog, mode, MemoryModel::Flat);
+            let maupiti = run(&prog, mode, MemoryModel::maupiti());
             prop_assert_eq!(maupiti.mem_stats(), Default::default());
             prop_assert_eq!(maupiti.cycles, flat.cycles);
         }
@@ -229,8 +220,8 @@ fn a_jump_charges_exactly_the_refill_latency() {
         Instr::Ebreak,
     ];
     for mode in [ExecMode::Simple, ExecMode::BlockCached] {
-        let flat = run(&prog, mode, MemoryModel::Flat, true);
-        let maupiti = run(&prog, mode, MemoryModel::maupiti(), true);
+        let flat = run(&prog, mode, MemoryModel::Flat);
+        let maupiti = run(&prog, mode, MemoryModel::maupiti());
         assert_eq!(flat.cycles, 3, "jal (2) + ebreak (1)");
         let stats = maupiti.mem_stats();
         assert_eq!(stats.fetch_misses, 1);
@@ -287,7 +278,7 @@ fn data_accesses_contend_only_inside_the_refill_window() {
         Instr::Ebreak,
     ];
     for mode in [ExecMode::Simple, ExecMode::BlockCached] {
-        let cpu = run(&prog, mode, MemoryModel::Maupiti(cfg), true);
+        let cpu = run(&prog, mode, MemoryModel::Maupiti(cfg));
         let stats = cpu.mem_stats();
         assert_eq!(stats.fetch_misses, 1, "{mode:?}");
         assert_eq!(stats.imem_stall_cycles, 2, "{mode:?}");
@@ -318,7 +309,7 @@ fn every_taken_backward_branch_misses_the_prefetch_buffer() {
         Instr::Ebreak,
     ];
     for mode in [ExecMode::Simple, ExecMode::BlockCached] {
-        let cpu = run(&prog, mode, MemoryModel::maupiti(), true);
+        let cpu = run(&prog, mode, MemoryModel::maupiti());
         assert_eq!(cpu.mem_stats().fetch_misses, 9, "{mode:?}");
     }
 }
@@ -439,11 +430,11 @@ fn hottest_blocks_attribute_memory_stalls_per_trace() {
         },
         Instr::Ebreak,
     ];
-    let flat = run(&prog, ExecMode::BlockCached, MemoryModel::Flat, true);
+    let flat = run(&prog, ExecMode::BlockCached, MemoryModel::Flat);
     for hot in flat.hottest_blocks(4) {
         assert_eq!(hot.mem_stall_cycles, 0, "flat model never stalls");
     }
-    let maupiti = run(&prog, ExecMode::BlockCached, MemoryModel::maupiti(), true);
+    let maupiti = run(&prog, ExecMode::BlockCached, MemoryModel::maupiti());
     let hot = maupiti.hottest_blocks(4);
     let attributed: u64 = hot.iter().map(|h| h.mem_stall_cycles).sum();
     assert_eq!(
@@ -483,7 +474,7 @@ fn flat_runs_are_bit_identical_to_the_default_model() {
         assert!(default_cpu.memory_model().is_flat(), "Flat is the default");
         default_cpu.load_program(&prog).unwrap();
         let rd = default_cpu.run(1_000).unwrap();
-        let flat = run(&prog, mode, MemoryModel::Flat, true);
+        let flat = run(&prog, mode, MemoryModel::Flat);
         assert_eq!(rd.cycles, flat.cycles);
         assert_eq!(rd.instructions, flat.instret);
     }

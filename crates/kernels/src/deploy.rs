@@ -249,13 +249,6 @@ impl Deployment {
         self.plan.weight_bytes
     }
 
-    /// Enables or disables superblock chaining on the simulator engine
-    /// (enabled by default; architectural results are identical either
-    /// way). Used by the throughput bench to measure the chaining delta.
-    pub fn set_superblock_chaining(&mut self, enabled: bool) {
-        self.base_cpu.set_superblock_chaining(enabled);
-    }
-
     /// Whether the block-cached engine lowers recognised loop idioms
     /// (SDOTP MAC reductions, memset/memcpy/strided copies) to fused
     /// host-level loops.

@@ -3,7 +3,7 @@
 //! The block-cached engine shares its decoded-trace cache between CPU
 //! clones through `Arc` snapshots ([`pcount_isa::Cpu`] is `Send`), so one
 //! warmup inference decodes the whole deployed program once and every
-//! pooled CPU — on any thread — dispatches fully pre-decoded, chained
+//! pooled CPU — on any thread — dispatches fully pre-decoded
 //! superblocks from the first frame.
 //!
 //! [`Deployment::run_batch`][crate::Deployment::run_batch] drives the
@@ -75,6 +75,32 @@ impl CpuPool {
         (base, cpus)
     }
 
+    /// Runs `f(i, cpu, base)` for every `i in 0..n` across the runtime
+    /// pool and returns the results in index order. Indices are split
+    /// into one contiguous range per pool slot — slot `w` runs
+    /// `w * chunk..(w + 1) * chunk` in order on its own CPU — so a
+    /// result depends only on `f`, `i` and what `f` leaves on the slot's
+    /// CPU, never on the worker count.
+    pub fn map<T: Send, F: Fn(usize, &mut Cpu, &Cpu) -> T + Sync>(
+        &mut self,
+        n: usize,
+        f: F,
+    ) -> Vec<T> {
+        if n == 0 {
+            return Vec::new();
+        }
+        let Self { base, cpus } = self;
+        let chunk = n.div_ceil(cpus.len().max(1));
+        let mut ranges: Vec<(&mut Cpu, Vec<T>)> =
+            cpus.iter_mut().map(|cpu| (cpu, Vec::new())).collect();
+        pcount_runtime::current().par_chunks_mut(&mut ranges, 1, 0, |w, range| {
+            let (cpu, out) = &mut range[0];
+            let hi = ((w + 1) * chunk).min(n);
+            *out = ((w * chunk).min(hi)..hi).map(|i| f(i, cpu, base)).collect();
+        });
+        ranges.into_iter().flat_map(|(_, out)| out).collect()
+    }
+
     /// Quarantines pool slot `w`: restores its architectural and memory
     /// state from the pristine base (see `Cpu::restore_from`). Must be
     /// called on any slot whose inference faulted before the slot is
@@ -99,5 +125,26 @@ pub(crate) fn resolve_cpu_pool_threads(threads: usize) -> usize {
         threads
     } else {
         resolve_threads(0).min(MAX_AUTO_CPUS)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn map_gives_each_slot_one_contiguous_range_and_keeps_index_order() {
+        let mut pool = CpuPool::from_base(&Cpu::new_default(), 3);
+        // Each slot counts the indices it ran in its own `instret`.
+        let runs = pool.map(7, |i, cpu, base| {
+            cpu.instret += 1;
+            (i, cpu.instret - base.instret)
+        });
+        assert_eq!(
+            runs,
+            [(0, 1), (1, 2), (2, 3), (3, 1), (4, 2), (5, 3), (6, 1)]
+        );
+        assert_eq!(pool.map(2, |i, _, _| i), [0, 1]);
+        assert!(pool.map(0, |i, _, _| i).is_empty());
     }
 }

@@ -4,9 +4,9 @@
 //! and *micro-architecturally* invisible: on the real deployed CNN,
 //! fusion on and fusion off must produce the same logits, instruction
 //! counts, cycle counts, pipeline stall breakdowns and memory-hierarchy
-//! stats — across both targets, both memory models, chained and
-//! unchained superblocks, serial and pooled execution, and watchdog
-//! budgets that expire in the middle of a fused loop.
+//! stats — across both targets, both memory models, serial and pooled
+//! execution, and watchdog budgets that expire in the middle of a fused
+//! loop.
 
 use pcount_isa::MaupitiMemConfig;
 use pcount_kernels::{Deployment, ExecMode, MemoryModel, SimError, Target, INSTRUCTION_BUDGET};
@@ -54,13 +54,11 @@ fn deployment(
     target: Target,
     mode: ExecMode,
     mem: MemoryModel,
-    chaining: bool,
     fusion: bool,
 ) -> Deployment {
     let mut d = Deployment::new(model, target).expect("deploy");
     d.set_exec_mode(mode);
     d.set_memory_model(mem);
-    d.set_superblock_chaining(chaining);
     d.set_macro_fusion(fusion);
     d
 }
@@ -82,34 +80,28 @@ fn fusion_is_bit_identical_on_the_deployed_cnn_in_every_engine_combination() {
             contention_cycles: 3,
         });
         for mem in [MemoryModel::Flat, MemoryModel::maupiti(), deep] {
-            let simple = deployment(&model, target, ExecMode::Simple, mem, true, true);
-            for chaining in [true, false] {
-                let fused = deployment(&model, target, ExecMode::BlockCached, mem, chaining, true);
-                let unfused =
-                    deployment(&model, target, ExecMode::BlockCached, mem, chaining, false);
-                for i in 0..3 {
-                    let frame = &x.data()[i * 64..(i + 1) * 64];
-                    let rs = simple.run_frame(frame).expect("simple");
-                    let rf = fused.run_frame(frame).expect("fused");
-                    let ru = unfused.run_frame(frame).expect("unfused");
-                    // Complete run equality — logits, prediction, cycles,
-                    // instret, sdotp count, stall breakdowns, mem stats.
-                    assert_eq!(
-                        rf, ru,
-                        "{target} {mem:?} chaining={chaining} frame {i}: fusion perturbed the run"
-                    );
-                    assert_eq!(
-                        rs, rf,
-                        "{target} {mem:?} chaining={chaining} frame {i}: engines diverged"
-                    );
-                }
-                if target == Target::Maupiti {
-                    let profile = fused.fusion_profile(&x.data()[..64]).expect("profile");
-                    assert!(
-                        profile.iter().any(|&(kind, _, _)| kind == "conv3x3_nest"),
-                        "{mem:?}: the conv3x3 nest must fuse, got {profile:?}"
-                    );
-                }
+            let simple = deployment(&model, target, ExecMode::Simple, mem, true);
+            let fused = deployment(&model, target, ExecMode::BlockCached, mem, true);
+            let unfused = deployment(&model, target, ExecMode::BlockCached, mem, false);
+            for i in 0..3 {
+                let frame = &x.data()[i * 64..(i + 1) * 64];
+                let rs = simple.run_frame(frame).expect("simple");
+                let rf = fused.run_frame(frame).expect("fused");
+                let ru = unfused.run_frame(frame).expect("unfused");
+                // Complete run equality — logits, prediction, cycles,
+                // instret, sdotp count, stall breakdowns, mem stats.
+                assert_eq!(
+                    rf, ru,
+                    "{target} {mem:?} frame {i}: fusion perturbed the run"
+                );
+                assert_eq!(rs, rf, "{target} {mem:?} frame {i}: engines diverged");
+            }
+            if target == Target::Maupiti {
+                let profile = fused.fusion_profile(&x.data()[..64]).expect("profile");
+                assert!(
+                    profile.iter().any(|&(kind, _, _)| kind == "conv3x3_nest"),
+                    "{mem:?}: the conv3x3 nest must fuse, got {profile:?}"
+                );
             }
         }
     }
@@ -126,14 +118,12 @@ fn fusion_is_bit_identical_for_4bit_models_and_pooled_batches() {
         ExecMode::BlockCached,
         MemoryModel::maupiti(),
         true,
-        true,
     );
     let unfused = deployment(
         &model,
         Target::Maupiti,
         ExecMode::BlockCached,
         MemoryModel::maupiti(),
-        true,
         false,
     );
     let serial: Vec<_> = (0..n)
@@ -161,7 +151,6 @@ fn fusion_fires_on_the_deployed_cnn_and_attribution_stays_consistent() {
         Target::Maupiti,
         ExecMode::BlockCached,
         MemoryModel::Flat,
-        true,
         true,
     );
     let frame = &x.data()[..64];
@@ -202,7 +191,6 @@ fn watchdog_expiry_mid_fused_loop_is_bit_identical() {
         ExecMode::BlockCached,
         MemoryModel::Flat,
         true,
-        true,
     )
     .run_frame(frame)
     .expect("full run");
@@ -216,7 +204,6 @@ fn watchdog_expiry_mid_fused_loop_is_bit_identical() {
                     Target::Maupiti,
                     ExecMode::BlockCached,
                     MemoryModel::Flat,
-                    true,
                     fusion == 1,
                 );
                 let mut pool = d.make_pool(1).expect("pool");
@@ -254,7 +241,6 @@ fn watchdog_expiry_mid_fused_loop_is_bit_identical() {
         Target::Maupiti,
         ExecMode::BlockCached,
         MemoryModel::Flat,
-        true,
         true,
     );
     let mut pool = d.make_pool(1).expect("pool");

@@ -3,12 +3,13 @@
 //! `MemoryModel::Flat` (the default) must reproduce the pre-seam cycle
 //! accounting bit-for-bit on the real deployed workload: the IBEX
 //! pipeline model alone, identical in `ExecMode::Simple` and
-//! `ExecMode::BlockCached` and with and without superblock chaining.
+//! `ExecMode::BlockCached`.
 //! `MemoryModel::Maupiti` must leave every architectural result
 //! untouched while charging a strictly positive, engine-independent stall
 //! breakdown.
 
-use pcount_kernels::{Deployment, ExecMode, MemoryModel, Target};
+use pcount_isa::Cpu;
+use pcount_kernels::{CpuPool, Deployment, ExecMode, MemoryModel, Target, INSTRUCTION_BUDGET};
 use pcount_nn::{CnnConfig, TrainConfig};
 use pcount_quant::{fold_sequential, Precision, PrecisionAssignment, QatCnn, QuantizedCnn};
 use pcount_tensor::Tensor;
@@ -53,13 +54,22 @@ fn deployment(
     target: Target,
     mode: ExecMode,
     mem: MemoryModel,
-    chaining: bool,
 ) -> Deployment {
     let mut d = Deployment::new(model, target).expect("deploy");
     d.set_exec_mode(mode);
     d.set_memory_model(mem);
-    d.set_superblock_chaining(chaining);
     d
+}
+
+/// Runs `frame` the way a pooled attempt does: on a slot restored from
+/// the pool's base, whose local block snapshot is still the empty one
+/// taken before the warmup published every block. Returns the slot.
+fn run_on_restored_slot(d: &Deployment, pool: &mut CpuPool, frame: &[f32]) -> Cpu {
+    pool.quarantine(0);
+    let (_, slots) = pool.split_mut();
+    d.run_frame_with_budget(&mut slots[0], frame, INSTRUCTION_BUDGET)
+        .expect("pooled run");
+    slots[0].clone()
 }
 
 #[test]
@@ -68,30 +78,15 @@ fn flat_model_reproduces_pre_seam_cycles_in_every_engine_combination() {
     for target in [Target::Maupiti, Target::Ibex] {
         let fresh = Deployment::new(&model, target).expect("deploy");
         assert!(fresh.memory_model().is_flat(), "Flat is the default model");
-        let simple = deployment(&model, target, ExecMode::Simple, MemoryModel::Flat, true);
-        let chained = deployment(
-            &model,
-            target,
-            ExecMode::BlockCached,
-            MemoryModel::Flat,
-            true,
-        );
-        let unchained = deployment(
-            &model,
-            target,
-            ExecMode::BlockCached,
-            MemoryModel::Flat,
-            false,
-        );
+        let simple = deployment(&model, target, ExecMode::Simple, MemoryModel::Flat);
+        let cached = deployment(&model, target, ExecMode::BlockCached, MemoryModel::Flat);
         for i in 0..4 {
             let frame = &x.data()[i * 64..(i + 1) * 64];
             let rs = simple.run_frame(frame).expect("simple");
-            let rc = chained.run_frame(frame).expect("chained");
-            let ru = unchained.run_frame(frame).expect("unchained");
+            let rc = cached.run_frame(frame).expect("cached");
             // Identical runs — logits, cycles, instret, pipeline and
-            // memory stats — across all three execution paths.
+            // memory stats — across both engines.
             assert_eq!(rs, rc, "{target} frame {i}: engines diverged");
-            assert_eq!(rc, ru, "chaining must not change anything");
             // The pre-seam cycle model: pipeline costs only, load-use
             // interlocks included, and the memory model adds nothing.
             assert!(rc.pipeline.load_use_stalls > 0, "CNN kernels do stall");
@@ -110,29 +105,18 @@ fn maupiti_model_keeps_architectural_results_and_adds_engine_independent_stalls(
         Target::Maupiti,
         ExecMode::BlockCached,
         MemoryModel::Flat,
-        true,
     );
-    let simple = deployment(&model, Target::Maupiti, ExecMode::Simple, maupiti, true);
-    let chained = deployment(
-        &model,
-        Target::Maupiti,
-        ExecMode::BlockCached,
-        maupiti,
-        true,
-    );
-    let unchained = deployment(
-        &model,
-        Target::Maupiti,
-        ExecMode::BlockCached,
-        maupiti,
-        false,
-    );
+    let simple = deployment(&model, Target::Maupiti, ExecMode::Simple, maupiti);
+    let cached = deployment(&model, Target::Maupiti, ExecMode::BlockCached, maupiti);
+    let mut simple_pool = simple.make_pool(1).expect("pool");
+    let mut cached_pool = cached.make_pool(1).expect("pool");
     for i in 0..4 {
         let frame = &x.data()[i * 64..(i + 1) * 64];
         let rf = flat.run_frame(frame).expect("flat");
         let rs = simple.run_frame(frame).expect("simple");
-        let rc = chained.run_frame(frame).expect("chained");
-        let ru = unchained.run_frame(frame).expect("unchained");
+        let rc = cached.run_frame(frame).expect("cached");
+        let ps = run_on_restored_slot(&simple, &mut simple_pool, frame);
+        let pc = run_on_restored_slot(&cached, &mut cached_pool, frame);
         // The hierarchy must not leak into architectural state.
         assert_eq!(rf.logits, rc.logits, "frame {i}");
         assert_eq!(rf.prediction, rc.prediction);
@@ -145,9 +129,13 @@ fn maupiti_model_keeps_architectural_results_and_adds_engine_independent_stalls(
         assert_eq!(rc.cycles, rf.cycles + rc.mem.stall_cycles());
         assert!(rc.cycles > rf.cycles);
         // The stall breakdown is a property of the retired stream, not of
-        // the engine or the chaining mode.
+        // the engine.
         assert_eq!(rs, rc, "frame {i}: engines diverged");
-        assert_eq!(rc, ru, "frame {i}: chaining diverged");
+        assert_eq!(ps.trace, pc.trace, "frame {i}: restored slot trace");
+        assert_eq!(ps.instret, pc.instret, "frame {i}");
+        assert_eq!(ps.cycles, pc.cycles, "frame {i}");
+        assert_eq!(ps.mem_stats(), pc.mem_stats(), "frame {i}");
+        assert_eq!(pc.cycles, rc.cycles, "frame {i}");
     }
 }
 

@@ -325,36 +325,16 @@ impl ResilientDeployment {
         planned: &[Planned],
         pool: &mut CpuPool,
     ) -> Vec<Option<AttemptOutcome>> {
-        let n = stream.ticks.len();
-        let mut out: Vec<Option<AttemptOutcome>> = (0..n).map(|_| None).collect();
-        if n == 0 {
-            return out;
-        }
-        let (base, cpus) = pool.split_mut();
-        let workers = cpus.len().max(1);
-        let chunk = n.div_ceil(workers);
-        let slots = pcount_runtime::SendPtr::new(out.as_mut_ptr());
-        pcount_runtime::current().par_chunks_mut(cpus, 1, 0, |w, cpu_slot| {
-            let cpu = &mut cpu_slot[0];
-            let hi = ((w + 1) * chunk).min(n);
-            for (i, plan) in planned.iter().enumerate().take(hi).skip(w * chunk) {
-                let exec = match *plan {
-                    Planned::Gap | Planned::Shed => None,
-                    Planned::Run(stall) => {
-                        let frame = stream.ticks[i]
-                            .frame
-                            .as_deref()
-                            .expect("Run ticks carry data");
-                        Some(self.attempt_frame(cpu, base, frame, stall))
-                    }
-                };
-                // SAFETY: worker ranges are disjoint by construction, so
-                // every slot has exactly one writer, and `out` is not
-                // read until the pool group completes.
-                unsafe { *slots.ptr().add(i) = exec };
+        pool.map(stream.ticks.len(), |i, cpu, base| match planned[i] {
+            Planned::Gap | Planned::Shed => None,
+            Planned::Run(stall) => {
+                let frame = stream.ticks[i]
+                    .frame
+                    .as_deref()
+                    .expect("Run ticks carry data");
+                Some(self.attempt_frame(cpu, base, frame, stall))
             }
-        });
-        out
+        })
     }
 
     /// One frame's attempt loop on one pooled CPU. The CPU is restored
