@@ -100,9 +100,9 @@ pub(crate) struct Block {
     /// charge the memory model once per trace execution
     /// (`MemModelState::charge_prefix`) instead of once per instruction.
     pub redirects: Vec<u32>,
-    /// Macro-op fusion: a recognised loop idiom inside the trace (SDOTP
-    /// MAC reduction, memset, memcpy, strided copy, convolution kernel-x
-    /// nest) that the engine may execute as one bulk host loop per entry.
+    /// Macro-op fusion: a recognised loop inside the trace (the SDOTP
+    /// channel loop or the conv3x3 kernel-x nest that embeds it) that the
+    /// engine may execute as one bulk host loop per entry.
     /// `None` when the trace matches no pattern.
     pub fused: Option<crate::fusion::FusedOp>,
 }

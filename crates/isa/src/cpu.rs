@@ -213,9 +213,9 @@ pub struct HotBlock {
     /// (zero under [`MemoryModel::Flat`]) — the "why is this block
     /// expensive" column of the hot-trace report.
     pub mem_stall_cycles: u64,
-    /// Name of the fused loop idiom recognised at this trace
-    /// (`"mac_sdotp8"`, `"mac_sdotp4"`, `"memset"`, `"memcpy"`,
-    /// `"strided_copy"`), or `None` when the trace was never executed
+    /// Name of the fused loop recognised at this trace (`"mac_sdotp8"` or
+    /// `"mac_sdotp4"` for the SDOTP channel loop, `"conv3x3_nest"` for the
+    /// conv3x3 kernel-x nest), or `None` when the trace was never executed
     /// through the fused path.
     pub fused_kind: Option<&'static str>,
     /// Trace entries that ran the fused loop executor.
@@ -383,9 +383,9 @@ impl Cpu {
         self.cache.len()
     }
 
-    /// Whether the block-cached engine executes recognised loop idioms
-    /// (SDOTP MAC reductions, memset, memcpy, strided copies) as fused
-    /// host loops (enabled by default).
+    /// Whether the block-cached engine executes the recognised kernel
+    /// loops (the SDOTP channel loop and the conv3x3 kernel-x nest) as
+    /// fused host loops (enabled by default).
     pub fn macro_fusion(&self) -> bool {
         self.fusion_enabled
     }

@@ -249,8 +249,8 @@ impl Deployment {
         self.plan.weight_bytes
     }
 
-    /// Whether the block-cached engine lowers recognised loop idioms
-    /// (SDOTP MAC reductions, memset/memcpy/strided copies) to fused
+    /// Whether the block-cached engine lowers the recognised kernel loops
+    /// (the SDOTP channel loop and the conv3x3 kernel-x nest) to fused
     /// host-level loops.
     pub fn macro_fusion(&self) -> bool {
         self.base_cpu.macro_fusion()
@@ -413,30 +413,11 @@ impl Deployment {
         let pixels: usize = x.shape()[1..].iter().product();
         let data = x.data();
         let frame = |i: usize| &data[i * pixels..(i + 1) * pixels];
-        let collect = |runs: Vec<Result<InferenceRun, SimError>>| {
-            // First (lowest-index) fault wins, after every frame ran and
-            // was counted — exactly the serial loop's error, without its
-            // short-circuit hiding later faults from the fault counter.
-            runs.into_iter().collect::<Result<Vec<_>, _>>()
-        };
-        if pool.threads() <= 1 || n <= 1 {
-            return collect(
-                (0..n)
-                    .map(|i| {
-                        self.run_frame_with_budget(
-                            &mut self.base_cpu.clone(),
-                            frame(i),
-                            budget_of(i),
-                        )
-                    })
-                    .collect(),
-            );
-        }
         // One contiguous frame range per pooled CPU, run as jobs on the
-        // persistent runtime pool (no threads are spawned per batch).
-        // Ranges are concatenated in order, so the flattened run list is
-        // frame-ordered.
-        let chunk = n.div_ceil(pool.threads());
+        // persistent runtime pool (no threads are spawned per batch; a
+        // single range runs inline). Ranges are concatenated in order, so
+        // the flattened run list is frame-ordered.
+        let chunk = n.div_ceil(pool.threads()).max(1);
         let ranges = n.div_ceil(chunk);
         let results = pcount_runtime::current().map_limited(ranges, pool.threads(), |w| {
             let cpu = pool.cpu(w);
@@ -444,7 +425,10 @@ impl Deployment {
                 .map(|i| self.run_frame_with_budget(&mut cpu.clone(), frame(i), budget_of(i)))
                 .collect::<Vec<Result<InferenceRun, SimError>>>()
         });
-        collect(results.into_iter().flatten().collect())
+        // First (lowest-index) fault wins, after every frame ran and was
+        // counted — exactly the serial loop's error, without its
+        // short-circuit hiding later faults from the fault counter.
+        results.into_iter().flatten().collect()
     }
 
     /// Predicts classes for a `[N, 1, 8, 8]` batch of raw frames,

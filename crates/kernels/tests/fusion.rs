@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// A small trained + quantised CNN and a batch of sample frames.
-fn deployed_model(seed: u64, precision: Precision) -> (QuantizedCnn, Tensor) {
+fn deployed_model(seed: u64, assignment: PrecisionAssignment) -> (QuantizedCnn, Tensor) {
     let mut rng = StdRng::seed_from_u64(seed);
     let n = 24usize;
     let mut x = Tensor::zeros(&[n, 1, 8, 8]);
@@ -44,7 +44,7 @@ fn deployed_model(seed: u64, precision: Precision) -> (QuantizedCnn, Tensor) {
     };
     let _ = pcount_nn::train_classifier(&mut net, &x, &y, &tc, &mut rng);
     let folded = fold_sequential(cfg, &net).expect("fold");
-    let mut qat = QatCnn::from_folded(&folded, PrecisionAssignment::uniform(precision));
+    let mut qat = QatCnn::from_folded(&folded, assignment);
     qat.calibrate(&x);
     (QuantizedCnn::from_qat(&qat), x)
 }
@@ -65,7 +65,7 @@ fn deployment(
 
 #[test]
 fn fusion_is_bit_identical_on_the_deployed_cnn_in_every_engine_combination() {
-    let (model, x) = deployed_model(31, Precision::Int8);
+    let (model, x) = deployed_model(31, PrecisionAssignment::uniform(Precision::Int8));
     for target in [Target::Maupiti, Target::Ibex] {
         let fresh = Deployment::new(&model, target).expect("deploy");
         assert!(fresh.macro_fusion(), "fusion is on by default");
@@ -109,7 +109,7 @@ fn fusion_is_bit_identical_on_the_deployed_cnn_in_every_engine_combination() {
 
 #[test]
 fn fusion_is_bit_identical_for_4bit_models_and_pooled_batches() {
-    let (model, x) = deployed_model(32, Precision::Int4);
+    let (model, x) = deployed_model(32, PrecisionAssignment::uniform(Precision::Int4));
     let n = 8usize;
     let batch = Tensor::from_vec(x.data()[..n * 64].to_vec(), &[n, 1, 8, 8]);
     let fused = deployment(
@@ -145,7 +145,36 @@ fn fusion_is_bit_identical_for_4bit_models_and_pooled_batches() {
 
 #[test]
 fn fusion_fires_on_the_deployed_cnn_and_attribution_stays_consistent() {
-    let (model, x) = deployed_model(33, Precision::Int8);
+    // Generated programs fuse exactly the SDOTP channel loop (one kind
+    // per lane width) and the conv3x3 nest around it, and only on
+    // MAUPITI: IBEX has no SDOTP, so its scalar loops never fuse.
+    let (i8, i4) = (Precision::Int8, Precision::Int4);
+    for (assignment, maupiti_kinds) in [
+        (
+            PrecisionAssignment::uniform(i8),
+            vec!["conv3x3_nest", "mac_sdotp8"],
+        ),
+        (
+            PrecisionAssignment::uniform(i4),
+            vec!["conv3x3_nest", "mac_sdotp4"],
+        ),
+        (
+            PrecisionAssignment::new([i8, i8, i8, i4]),
+            vec!["conv3x3_nest", "mac_sdotp4", "mac_sdotp8"],
+        ),
+    ] {
+        let (model, x) = deployed_model(33, assignment);
+        for (target, want) in [(Target::Maupiti, maupiti_kinds), (Target::Ibex, vec![])] {
+            for mem in [MemoryModel::Flat, MemoryModel::maupiti()] {
+                let d = deployment(&model, target, ExecMode::BlockCached, mem, true);
+                let profile = d.fusion_profile(&x.data()[..64]).expect("profile");
+                let kinds: Vec<_> = profile.iter().map(|&(kind, ..)| kind).collect();
+                assert_eq!(kinds, want, "{assignment} on {target} {mem:?}");
+            }
+        }
+    }
+
+    let (model, x) = deployed_model(33, PrecisionAssignment::uniform(i8));
     let d = deployment(
         &model,
         Target::Maupiti,
@@ -183,7 +212,7 @@ fn fusion_fires_on_the_deployed_cnn_and_attribution_stays_consistent() {
 
 #[test]
 fn watchdog_expiry_mid_fused_loop_is_bit_identical() {
-    let (model, x) = deployed_model(34, Precision::Int8);
+    let (model, x) = deployed_model(34, PrecisionAssignment::uniform(Precision::Int8));
     let frame = &x.data()[..64];
     let full = deployment(
         &model,

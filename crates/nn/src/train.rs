@@ -77,18 +77,26 @@ pub fn batch_select(x: &Tensor, indices: &[usize]) -> Tensor {
 
 /// Runs prediction in mini-batches and returns the argmax class per sample.
 pub fn predict(net: &mut Sequential, x: &Tensor, batch_size: usize) -> Vec<usize> {
+    predict_with_width(net, x, batch_size).0
+}
+
+/// [`predict`], plus the network's output width (the number of classes
+/// it can predict), read off the logits; 0 when `x` holds no sample.
+fn predict_with_width(net: &mut Sequential, x: &Tensor, batch_size: usize) -> (Vec<usize>, usize) {
     let n = x.shape()[0];
     let mut preds = Vec::with_capacity(n);
+    let mut width = 0;
     let mut start = 0usize;
     while start < n {
         let end = (start + batch_size).min(n);
         let idx: Vec<usize> = (start..end).collect();
         let xb = batch_select(x, &idx);
         let logits = net.forward(&xb, Mode::Eval);
+        width = logits.shape()[1];
         preds.extend(logits.argmax_rows());
         start = end;
     }
-    preds
+    (preds, width)
 }
 
 /// Evaluates a network and returns its Balanced Accuracy Score.
@@ -114,7 +122,6 @@ pub fn train_classifier<R: Rng>(
     let n = x.shape()[0];
     assert_eq!(n, y.len(), "sample count mismatch");
     assert!(n > 0, "cannot train on an empty dataset");
-    let num_classes = y.iter().copied().max().unwrap_or(0) + 1;
     let mut opt = Adam::new(cfg.learning_rate, cfg.weight_decay);
     let mut loss_fn = CrossEntropyLoss::new();
     let mut stats = TrainStats::default();
@@ -141,7 +148,11 @@ pub fn train_classifier<R: Rng>(
             eprintln!("epoch {epoch:3}  loss {mean_loss:.4}");
         }
     }
-    stats.final_train_bas = evaluate(net, x, y, num_classes);
+    // Sized from the network's output width, not the largest label: a
+    // training split that lacks the top class can still be predicted as
+    // it. Classes absent from `y` are empty rows, which the score skips.
+    let (preds, width) = predict_with_width(net, x, 256);
+    stats.final_train_bas = balanced_accuracy(&preds, y, width);
     stats
 }
 
@@ -217,6 +228,25 @@ mod tests {
             stats.final_train_bas
         );
         assert!(stats.final_loss() < stats.epoch_losses[0]);
+    }
+
+    #[test]
+    fn training_on_a_split_without_the_top_class_scores_predictions_of_it() {
+        // Labels cover classes 0..3 of a 4-way net whose bias makes it
+        // predict class 3 for every sample.
+        let mut rng = StdRng::seed_from_u64(7);
+        let x = Tensor::from_vec((0..12).map(|v| v as f32 * 0.1).collect(), &[6, 2]);
+        let y = [0, 1, 2, 0, 1, 2];
+        let mut net = Sequential::new(vec![Box::new(crate::Linear::new(2, 4, &mut rng))]);
+        net.params_and_grads()[1].0.data_mut()[3] = 100.0;
+        let train_cfg = TrainConfig {
+            epochs: 1,
+            batch_size: 4,
+            ..TrainConfig::default()
+        };
+        let stats = train_classifier(&mut net, &x, &y, &train_cfg, &mut rng);
+        assert_eq!(predict(&mut net, &x, 4), vec![3; 6]);
+        assert_eq!(stats.final_train_bas, 0.0);
     }
 
     #[test]
