@@ -962,6 +962,104 @@ mod tests {
         assert!(recognize(&dec(&p)).is_none());
     }
 
+    fn copy_loop(load: crate::LoadOp, store: crate::StoreOp, ss: i32, ds: i32) -> Vec<Instr> {
+        vec![
+            Instr::Load {
+                op: load,
+                rd: reg::T4,
+                rs1: reg::T1,
+                offset: 0,
+            },
+            Instr::Store {
+                op: store,
+                rs1: reg::T2,
+                rs2: reg::T4,
+                offset: 0,
+            },
+            Instr::Addi {
+                rd: reg::T1,
+                rs1: reg::T1,
+                imm: ss,
+            },
+            Instr::Addi {
+                rd: reg::T2,
+                rs1: reg::T2,
+                imm: ds,
+            },
+            Instr::Addi {
+                rd: reg::T3,
+                rs1: reg::T3,
+                imm: -1,
+            },
+            Instr::Branch {
+                op: crate::BranchOp::Bne,
+                rs1: reg::T3,
+                rs2: reg::ZERO,
+                offset: -20,
+            },
+        ]
+    }
+
+    fn memset_loop(store: crate::StoreOp, stride: i32, val: u8) -> Vec<Instr> {
+        vec![
+            Instr::Store {
+                op: store,
+                rs1: reg::T1,
+                rs2: val,
+                offset: 0,
+            },
+            Instr::Addi {
+                rd: reg::T1,
+                rs1: reg::T1,
+                imm: stride,
+            },
+            Instr::Addi {
+                rd: reg::T3,
+                rs1: reg::T3,
+                imm: -1,
+            },
+            Instr::Branch {
+                op: crate::BranchOp::Bne,
+                rs1: reg::T3,
+                rs2: reg::ZERO,
+                offset: -12,
+            },
+        ]
+    }
+
+    /// Load/store copy loops are counted loops the recognizer must still
+    /// classify: there is no copy executor, so every stride and width
+    /// (unit, im2col-style gather, width-changing) is left unfused.
+    #[test]
+    fn classifies_copy_loops_by_stride() {
+        use crate::{LoadOp, StoreOp};
+        for (load, store, ss, ds) in [
+            (LoadOp::Lw, StoreOp::Sw, 4, 4),
+            (LoadOp::Lbu, StoreOp::Sb, 1, 1),
+            (LoadOp::Lb, StoreOp::Sb, 9, 1),
+            (LoadOp::Lh, StoreOp::Sb, 2, 1),
+        ] {
+            assert!(recognize(&dec(&copy_loop(load, store, ss, ds))).is_none());
+        }
+    }
+
+    /// Store-fill loops, zero fill included, are recognized as counted
+    /// loops of no fused shape and stay on the per-instruction path.
+    #[test]
+    fn recognizes_memset_including_zero_fill() {
+        use crate::StoreOp;
+        for (store, stride) in [
+            (StoreOp::Sb, 1),
+            (StoreOp::Sh, 2),
+            (StoreOp::Sw, 4),
+            (StoreOp::Sb, 3),
+        ] {
+            for val in [reg::ZERO, reg::A0] {
+                assert!(recognize(&dec(&memset_loop(store, stride, val))).is_none());
+            }
+        }
+    }
+
     /// 1 KiB of data memory holding a deterministic byte pattern.
     fn patterned_mem() -> Memory {
         let mut mem = Memory::new(1024, 1024);
@@ -1303,5 +1401,42 @@ mod tests {
         assert_eq!(out.counts, [1, 0, 0, 0], "only the guard skip ran");
         assert_eq!(oob[reg::T6 as usize], 1);
         assert_eq!(oob[reg::T1 as usize], before[reg::T1 as usize]);
+    }
+
+    #[test]
+    fn overlapping_copy_matches_element_by_element_semantics() {
+        use crate::{Cpu, ExecMode, LoadOp, StoreOp};
+        let dmem_hi = (DMEM_BASE >> 12) as i32;
+        let mut p = vec![
+            Instr::Lui {
+                rd: reg::T1,
+                imm: dmem_hi,
+            },
+            Instr::Lui {
+                rd: reg::T2,
+                imm: dmem_hi,
+            },
+            // dst = src + 1 with forward element order smears the first byte.
+            Instr::Addi {
+                rd: reg::T2,
+                rs1: reg::T2,
+                imm: 1,
+            },
+            Instr::Addi {
+                rd: reg::T3,
+                rs1: reg::ZERO,
+                imm: 4,
+            },
+        ];
+        p.extend(copy_loop(LoadOp::Lbu, StoreOp::Sb, 1, 1));
+        p.push(Instr::Ebreak);
+        let mut cpu = Cpu::new_default();
+        cpu.set_exec_mode(ExecMode::BlockCached);
+        cpu.set_macro_fusion(true);
+        cpu.load_program(&p).unwrap();
+        cpu.mem.write_dmem(DMEM_BASE, &[1, 2, 3, 4, 5, 6, 7, 8]);
+        cpu.run(1_000).unwrap();
+        assert_eq!(cpu.mem.read_dmem(DMEM_BASE, 8), &[1, 1, 1, 1, 1, 6, 7, 8]);
+        assert!(cpu.fusion_profile().is_empty());
     }
 }
